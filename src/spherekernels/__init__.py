@@ -35,7 +35,6 @@ from .errors import (
     DomainError,
     FactorizationError,
     ParameterError,
-    QuadratureCapacityError,
     SphereKernelsError,
     UnknownFamilyError,
 )

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import catalog
 from .errors import DomainError, FactorizationError, ParameterError
-from .sphere import SpherePointSet, pairwise_angles
+from .sphere import SpherePointSet, _gram_matrix, pairwise_angles
 
 __all__ = [
     "FieldSample",
@@ -73,11 +73,6 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     )
 
 
-def _gram(spec: catalog.KernelSpec, pts: SpherePointSet) -> np.ndarray:
-    K = catalog.evaluate(spec, pts.distance_matrix())
-    return 0.5 * (K + K.T)
-
-
 def interpolate_fit(
     spec: catalog.KernelSpec, nodes: SpherePointSet, data, ridge: float = 0.0
 ) -> Interpolant:
@@ -99,7 +94,7 @@ def interpolate_fit(
         raise DomainError(f"data must have shape ({nodes.n_points},), got {y.shape}")
     if ridge < 0:
         raise DomainError("ridge must be >= 0")
-    K = _gram(spec, nodes) + ridge * np.eye(nodes.n_points)
+    K = _gram_matrix(spec, nodes) + ridge * np.eye(nodes.n_points)
     L, jitter = _chol_with_jitter(K)
     w = scipy.linalg.cho_solve((L, True), y)
     return Interpolant(spec=spec, nodes=nodes, weights=w, ridge=float(ridge), jitter_used=jitter)
@@ -135,7 +130,7 @@ def simulate(
         )
     if n_samples < 1:
         raise DomainError("need n_samples >= 1")
-    L, jitter = _chol_with_jitter(_gram(spec, pts))
+    L, jitter = _chol_with_jitter(_gram_matrix(spec, pts))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, pts.n_points))
     return FieldSample(points=pts, values=z @ L.T, spec=spec, seed=seed, jitter_used=jitter)
@@ -153,10 +148,7 @@ def estimate_fractal_index(
         raise DomainError("need 0 < theta_min < theta_max <= 0.1")
     if n_grid < 2:
         raise DomainError("need at least two grid points")
-    if isinstance(kern, catalog.KernelSpec):
-        psi = lambda th: catalog.evaluate(kern, th)
-    else:
-        psi = lambda th: np.asarray(kern(th), dtype=float)
+    psi, _ = catalog.as_psi(kern)
     theta = np.logspace(math.log10(theta_min), math.log10(theta_max), n_grid)
     drop = 1.0 - psi(theta)
     if np.any(drop <= 0.0):

@@ -42,6 +42,7 @@ __all__ = [
     "KernelSpec",
     "ValidityVerdict",
     "FAMILY_NAMES",
+    "as_psi",
     "breakpoints",
     "euclid_derivative",
     "evaluate",
@@ -693,9 +694,16 @@ def breakpoints(spec: KernelSpec) -> tuple[float, ...]:
     return tuple(sorted(t for t in pts if 0.0 < t < math.pi))
 
 
-def defaults(family: str) -> KernelSpec:
-    """The catalog's default parameter point for a family."""
-    return kernel(family)
+def as_psi(kern) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]:
+    """Coerce a KernelSpec or a callable psi(theta) to (psi, breakpoints).
+
+    A callable carries no breakpoints.  Anything else raises DomainError.
+    """
+    if isinstance(kern, KernelSpec):
+        return (lambda th: evaluate(kern, th)), breakpoints(kern)
+    if callable(kern):
+        return (lambda th: np.asarray(kern(th), dtype=float)), ()
+    raise DomainError(f"kernel must be a KernelSpec or a callable, got {type(kern)!r}")
 
 
 def list_families() -> list[dict]:

@@ -74,10 +74,7 @@ def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
 
 def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionReport:
     """Check nonincreasingness, convexity and integral sign of psi on [0, pi]."""
-    if isinstance(kern, catalog.KernelSpec):
-        psi = lambda th: catalog.evaluate(kern, th)
-    else:
-        psi = lambda th: np.asarray(kern(th), dtype=float)
+    psi, _ = catalog.as_psi(kern)
     if abs(float(psi(np.array([0.0]))[0]) - 1.0) > 1e-12:
         raise DomainError("candidate must satisfy psi(0) = 1 within 1e-12")
     x = np.linspace(0.0, math.pi, grid_size)

@@ -21,9 +21,5 @@ class DimensionMismatchError(SphereKernelsError):
     """A coefficient sequence has the wrong sphere dimension for an operation."""
 
 
-class QuadratureCapacityError(SphereKernelsError):
-    """A requested coefficient order exceeds the declared quadrature capacity."""
-
-
 class FactorizationError(SphereKernelsError):
     """A Gram matrix could not be factorized, even after jitter escalation."""

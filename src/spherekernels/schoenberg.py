@@ -30,16 +30,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import catalog
-from .errors import (
-    DimensionMismatchError,
-    DomainError,
-    QuadratureCapacityError,
-)
+from .errors import DimensionMismatchError, DomainError
 from .special import _leggauss_cached, gegenbauer_normalized_table
 
 __all__ = [
@@ -132,14 +128,6 @@ class MembershipVerdict:
 # quadrature engine
 
 
-def _as_psi(kern) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]:
-    if isinstance(kern, catalog.KernelSpec):
-        return (lambda th: catalog.evaluate(kern, th)), catalog.breakpoints(kern)
-    if callable(kern):
-        return (lambda th: np.asarray(kern(th), dtype=float)), ()
-    raise DomainError(f"kernel must be a KernelSpec or a callable, got {type(kern)!r}")
-
-
 def _graded_unit_grid(levels: int) -> np.ndarray:
     """Panel edges on [0, 1], geometrically refined toward both ends."""
     left = [0.0] + [2.0 ** (-k) for k in range(levels, 1, -1)]
@@ -164,23 +152,8 @@ def _piece_rule(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _theta_rule(
-    breaks: Sequence[float], n_max: int, quadrature_order: int | None
-) -> tuple[np.ndarray, np.ndarray]:
+def _theta_rule(breaks: Sequence[float], n_max: int) -> tuple[np.ndarray, np.ndarray]:
     edges = [0.0] + sorted(t for t in breaks if 0.0 < t < math.pi) + [math.pi]
-    if quadrature_order is not None:
-        if n_max > quadrature_order // 4:
-            raise QuadratureCapacityError(
-                f"quadrature order {quadrature_order} resolves at most "
-                f"{quadrature_order // 4} coefficients, {n_max} requested"
-            )
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            m = max(8, int(round(quadrature_order * (b - a) / math.pi)))
-            x, w = _leggauss_cached(m)
-            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * w)
-        return np.concatenate(nodes), np.concatenate(weights)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         x, w = _piece_rule(a, b, n_max)
@@ -189,15 +162,14 @@ def _theta_rule(
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def fourier_coeffs(kern, n_max: int, *, quadrature_order: int | None = None) -> SchoenbergSequence:
+def fourier_coeffs(kern, n_max: int) -> SchoenbergSequence:
     """Cosine coefficients b_{0,1}..b_{n_max,1} of a kernel on the circle."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    psi, breaks = _as_psi(kern)
-    x, w = _theta_rule(breaks, n_max, quadrature_order)
-    fw = psi(x) * w
-    n = np.arange(n_max + 1)
-    coeffs = (2.0 / math.pi) * np.cos(np.outer(n, x)) @ fw
+    psi, breaks = catalog.as_psi(kern)
+    x, w = _theta_rule(breaks, n_max)
+    basis = gegenbauer_normalized_table(n_max, 0.0, np.cos(x))  # cos(n x), Chebyshev
+    coeffs = (2.0 / math.pi) * (basis @ (psi(x) * w))
     coeffs[0] *= 0.5
     return SchoenbergSequence(1, coeffs, quadrature_order=x.size, source="direct_quadrature")
 
@@ -213,16 +185,14 @@ def _gegenbauer_scale(n_max: int, d: int) -> np.ndarray:
     return out
 
 
-def gegenbauer_coeffs(
-    kern, d: int, n_max: int, *, quadrature_order: int | None = None
-) -> SchoenbergSequence:
+def gegenbauer_coeffs(kern, d: int, n_max: int) -> SchoenbergSequence:
     """Coefficients b_{0,d}..b_{n_max,d} on S^d for d >= 2, by quadrature."""
     if d < 2:
         raise DimensionMismatchError(f"direct Gegenbauer projection needs d >= 2, got {d}")
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    psi, breaks = _as_psi(kern)
-    x, w = _theta_rule(breaks, n_max, quadrature_order)
+    psi, breaks = catalog.as_psi(kern)
+    x, w = _theta_rule(breaks, n_max)
     lam = (d - 1) / 2.0
     basis = gegenbauer_normalized_table(n_max, lam, np.cos(x))
     fw = psi(x) * np.sin(x) ** (d - 1) * w
@@ -344,19 +314,9 @@ def reconstruct(seq: SchoenbergSequence, theta):
     if np.any(arr < -1e-12) or np.any(arr > math.pi + 1e-12):
         raise DomainError("great circle distance must lie in [0, pi]")
     arr = np.clip(arr, 0.0, math.pi)
-    flat = np.atleast_1d(arr)
-    if seq.d == 1:
-        basis = np.cos(np.outer(np.arange(seq.n_max + 1), flat))
-    else:
-        basis = gegenbauer_normalized_table(seq.n_max, (seq.d - 1) / 2.0, np.cos(flat))
+    basis = gegenbauer_normalized_table(seq.n_max, (seq.d - 1) / 2.0, np.cos(arr.ravel()))
     vals = seq.coeffs @ basis
     return float(vals[0]) if (np.isscalar(theta) or np.ndim(theta) == 0) else vals.reshape(arr.shape)
-
-
-def _compute_sequence(kern, d: int, n_max: int, quadrature_order: int | None) -> SchoenbergSequence:
-    if d == 1:
-        return fourier_coeffs(kern, n_max, quadrature_order=quadrature_order)
-    return gegenbauer_coeffs(kern, d, n_max, quadrature_order=quadrature_order)
 
 
 def strictness_evidence(
@@ -400,7 +360,6 @@ def membership(
     tol_pass: float = 1e-9,
     tail_tol: float = 1e-3,
     strict: bool = False,
-    quadrature_order: int | None = None,
 ) -> MembershipVerdict:
     """Verdict on membership of a kernel in the positive definite class on S^d.
 
@@ -411,7 +370,9 @@ def membership(
     evidence: strictly positive coefficients at ten or more even and ten or
     more odd indices (d >= 2), or the arithmetic-progression condition
     (d = 1).  When d = 3 the verdict also carries the cosine-sequence
-    monotonicity diagnostics (b_{2,1} <= 2 b_{0,1} and b_{n+2,1} <= b_{n,1}).
+    monotonicity diagnostics (b_{2,1} <= 2 b_{0,1} and b_{n+2,1} <= b_{n,1}),
+    read from the S^3 coefficients through b_{0,3} = b_{0,1} - b_{2,1}/2 and
+    b_{n,3} = (n+1)(b_{n,1} - b_{n+2,1})/2 with a cosine-side slack of 1e-12.
     """
     if d < 1:
         raise DimensionMismatchError(f"sphere dimension must be >= 1, got {d}")
@@ -419,7 +380,7 @@ def membership(
         n_max = 200 if d <= 3 else 100
     if n_max < 10:
         raise DomainError(f"membership needs n_max >= 10, got {n_max}")
-    seq = _compute_sequence(kern, d, n_max, quadrature_order)
+    seq = fourier_coeffs(kern, n_max) if d == 1 else gegenbauer_coeffs(kern, d, n_max)
     b = seq.coeffs
     min_index = int(np.argmin(b))
     min_coeff = float(b[min_index])
@@ -444,13 +405,11 @@ def membership(
 
     mono = None
     if d == 3:
-        cosine_seq = fourier_coeffs(kern, n_max, quadrature_order=quadrature_order)
-        cb = cosine_seq.coeffs
-        slack = 1e-12 * max(1.0, float(np.abs(cb).max()))
-        pair_gap = cb[3:] - cb[1:-2]  # b_{n+2,1} - b_{n,1}, n >= 1
-        violations = np.flatnonzero(pair_gap > slack) + 1
+        slack = 1e-12
+        n = np.arange(1, n_max + 1)
+        violations = n[b[1:] < -0.5 * slack * (n + 1)]
         mono = {
-            "b2_le_2b0": bool(cb[2] <= 2.0 * cb[0] + slack),
+            "b2_le_2b0": bool(b[0] >= -0.5 * slack),
             "pairs_nonincreasing": violations.size == 0,
             "violations": tuple(int(v) for v in violations[:10]),
         }
@@ -521,6 +480,8 @@ def from_csv(path_or_buf) -> SchoenbergSequence:
     if not rows:
         raise DomainError("no coefficient rows found")
     rows.sort()
+    if [n for n, _ in rows] != list(range(len(rows))):
+        raise DomainError("coefficient indices must run 0, 1, ..., n_max without gaps or repeats")
     coeffs = np.array([b for _, b in rows])
     return SchoenbergSequence(
         d=int(meta.get("d", "1")),

@@ -1,18 +1,17 @@
 """Orthogonal polynomials, modified Bessel functions and Gauss-Legendre rules.
 
-Gegenbauer (ultraspherical) polynomials C_n^lambda are evaluated by the
-forward three-term recurrence
+Every Gegenbauer (ultraspherical) evaluation runs one recurrence, for the
+normalized polynomials R_n = C_n^lambda(x) / C_n^lambda(1):
 
-    C_0 = 1,  C_1 = 2*lambda*x,
-    n C_n = 2 (n - 1 + lambda) x C_{n-1} - (n - 2 + 2*lambda) C_{n-2},
+    R_0 = 1,  R_1 = x,
+    (n + 2*lambda) R_{n+1} = 2 (n + lambda) x R_n - n R_{n-1}.
 
-with the lambda = 0 limit taken as C_n^0(cos theta) = cos(n theta).
-The normalized variant C_n^lambda(x) / C_n^lambda(1) satisfies
-
-    (n + 2*lambda) R_{n+1} = 2 (n + lambda) x R_n - n R_{n-1},
-
-which keeps every value in [-1, 1] and is the numerically preferred form
-for large n.  Legendre polynomials are the lambda = 1/2 special case.
+It keeps every value in [-1, 1], which makes it the numerically preferred
+form for large n.  At lambda = 0 it is the Chebyshev recurrence
+R_{n+1} = 2 x R_n - R_{n-1}, so R_n(cos theta) = cos(n theta) is the
+cosine basis of the circle.  The classical C_n^lambda is R_n scaled by
+C_n^lambda(1) (taken as 1 at lambda = 0), and the Legendre polynomials
+are the lambda = 1/2 case.
 """
 
 from __future__ import annotations
@@ -82,26 +81,6 @@ def _check_poly_args(n: int, lam: float, x) -> np.ndarray:
     return np.clip(arr, -1.0, 1.0)
 
 
-def gegenbauer(n: int, lam: float, x):
-    """Evaluate C_n^lam(x) for x in [-1, 1], lam >= 0.
-
-    For lam = 0 returns cos(n * arccos x), the continuous limit used for
-    expansions on the circle.
-    """
-    arr = _check_poly_args(n, lam, x)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    if lam == 0.0:
-        out = np.cos(n * np.arccos(arr))
-        return float(out) if scalar else out
-    prev = np.ones_like(arr)
-    if n == 0:
-        return 1.0 if scalar else prev
-    cur = 2.0 * lam * arr
-    for k in range(2, n + 1):
-        prev, cur = cur, (2.0 * (k - 1 + lam) * arr * cur - (k - 2 + 2.0 * lam) * prev) / k
-    return float(cur) if scalar else cur
-
-
 def gegenbauer_one(n: int, lam: float) -> float:
     """C_n^lam(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam)); equals 1 when lam = 0."""
     if n < 0:
@@ -116,31 +95,13 @@ def gegenbauer_one(n: int, lam: float) -> float:
     return value
 
 
-def gegenbauer_normalized(n: int, lam: float, x):
-    """Evaluate C_n^lam(x) / C_n^lam(1) via the normalized recurrence."""
-    arr = _check_poly_args(n, lam, x)
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    if lam == 0.0:
-        out = np.cos(n * np.arccos(arr))
-        return float(out) if scalar else out
-    prev = np.ones_like(arr)
-    if n == 0:
-        return 1.0 if scalar else prev
-    cur = arr.copy()
-    for k in range(1, n):
-        prev, cur = cur, (2.0 * (k + lam) * arr * cur - k * prev) / (k + 2.0 * lam)
-    return float(cur) if scalar else cur
-
-
 def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
-    """Table of C_n^lam(x)/C_n^lam(1) for n = 0..n_max, shape (n_max + 1, len(x))."""
+    """Table of C_n^lam(x)/C_n^lam(1) for n = 0..n_max, shape (n_max + 1, len(x)).
+
+    At lam = 0 the rows are the Chebyshev polynomials, cos(n arccos x).
+    """
     arr = _check_poly_args(n_max, lam, np.asarray(x, dtype=float))
     table = np.empty((n_max + 1, arr.size))
-    if lam == 0.0:
-        theta = np.arccos(arr)
-        for n in range(n_max + 1):
-            table[n] = np.cos(n * theta)
-        return table
     table[0] = 1.0
     if n_max >= 1:
         table[1] = arr
@@ -149,8 +110,24 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
     return table
 
 
+def gegenbauer_normalized(n: int, lam: float, x):
+    """Evaluate C_n^lam(x) / C_n^lam(1): the last row of the normalized table."""
+    arr = np.asarray(x, dtype=float)
+    out = gegenbauer_normalized_table(n, lam, arr.ravel())[-1].reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
+
+
+def gegenbauer(n: int, lam: float, x):
+    """Evaluate C_n^lam(x) for x in [-1, 1], lam >= 0.
+
+    For lam = 0 returns cos(n * arccos x), the continuous limit used for
+    expansions on the circle.
+    """
+    return gegenbauer_one(n, lam) * gegenbauer_normalized(n, lam, x)
+
+
 def legendre(n: int, x):
-    """Legendre polynomial P_n(x) = C_n^{1/2}(x), by the Bonnet recurrence."""
+    """Legendre polynomial P_n(x) = C_n^{1/2}(x), which is already normalized."""
     return gegenbauer_normalized(n, 0.5, x)
 
 
@@ -173,10 +150,6 @@ def bessel_k(nu: float, t):
     return float(out) if (np.isscalar(t) or np.ndim(t) == 0) else out
 
 
-def _gamma(x: float) -> float:
-    return math.gamma(x)
-
-
 def gegenbauer_connection(n: int, lam: float, nu: float, x):
     """Expand C_n^lam in the C^nu basis: the classical Gegenbauer connection sum.
 
@@ -187,15 +160,15 @@ def gegenbauer_connection(n: int, lam: float, nu: float, x):
         raise DomainError("connection formula requires lam > nu >= 0")
     if nu == 0.0:
         raise DomainError("nu = 0 limit not supported by the connection sum")
-    pref = _gamma(nu) / (_gamma(lam) * _gamma(lam - nu))
+    pref = math.gamma(nu) / (math.gamma(lam) * math.gamma(lam - nu))
     arr = np.asarray(x, dtype=float)
     total = np.zeros_like(arr)
     for k in range(n // 2 + 1):
         coeff = (
             (n - 2 * k + nu)
-            * _gamma(k + lam - nu)
-            * _gamma(n - k + lam)
-            / (math.factorial(k) * _gamma(n - k + nu + 1))
+            * math.gamma(k + lam - nu)
+            * math.gamma(n - k + lam)
+            / (math.factorial(k) * math.gamma(n - k + nu + 1))
         )
         total += coeff * gegenbauer(n - 2 * k, nu, arr)
     out = pref * total

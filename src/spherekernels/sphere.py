@@ -11,9 +11,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from . import catalog
 from .errors import DomainError
@@ -29,6 +30,8 @@ __all__ = [
 ]
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# points count as duplicates when <x, y> >= 1 - 1e-15, i.e. ||x - y||^2 <= 2e-15
+_DUPLICATE_CHORD = math.sqrt(2e-15)
 
 
 @dataclass(frozen=True)
@@ -50,11 +53,8 @@ class SpherePointSet:
         object.__setattr__(self, "points", pts)
         if self.labels is not None and len(self.labels) != pts.shape[0]:
             raise DomainError("labels length must match the number of points")
-        if pts.shape[0] <= 2000:
-            gram = np.clip(pts @ pts.T, -1.0, 1.0)
-            np.fill_diagonal(gram, -1.0)
-            if np.any(gram >= 1.0 - 1e-15):
-                raise DomainError("points must be pairwise distinct")
+        if cKDTree(pts).query_pairs(r=_DUPLICATE_CHORD):
+            raise DomainError("points must be pairwise distinct")
 
     @property
     def n_points(self) -> int:
@@ -136,19 +136,20 @@ def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> 
     raise DomainError(f"unknown sampling scheme {scheme!r}")
 
 
+def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
+    """K_ij = psi(theta_ij), symmetrized against rounding in psi."""
+    psi, _ = catalog.as_psi(kern)
+    K = psi(pts.distance_matrix())
+    return 0.5 * (K + K.T)
+
+
 def gram_report(kern, pts: SpherePointSet, tol: float = 1e-8) -> GramReport:
     """Assemble K_ij = psi(theta_ij) and judge positive semidefiniteness.
 
     The verdict is min_eigenvalue >= -tol * n_points, which absorbs the
     growth of symmetric-eigensolver backward error with matrix size.
     """
-    if isinstance(kern, catalog.KernelSpec):
-        psi: Callable[[np.ndarray], np.ndarray] = lambda th: catalog.evaluate(kern, th)
-    else:
-        psi = lambda th: np.asarray(kern(th), dtype=float)
-    K = psi(pts.distance_matrix())
-    K = 0.5 * (K + K.T)
-    eigvals = np.linalg.eigvalsh(K)
+    eigvals = np.linalg.eigvalsh(_gram_matrix(kern, pts))
     lo, hi = float(eigvals[0]), float(eigvals[-1])
     return GramReport(
         n_points=pts.n_points,

@@ -8,11 +8,17 @@ from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
 
 from spherekernels import (
     KernelSpec,
+    estimate_fractal_index,
     evaluate,
     evaluate_euclidean,
+    fourier_coeffs,
     fractal_index_theoretical,
+    gegenbauer_coeffs,
+    gram_report,
     kernel,
     parse_kernel,
+    polya_circle,
+    sample_points,
     validate_params,
     yadrenko,
 )
@@ -239,6 +245,23 @@ def test_breakpoints():
     assert breakpoints(kernel("gaspari_cohn", c=1.0)) == (0.5, 1.0)
     assert breakpoints(kernel("gaspari_cohn", c=math.pi)) == (math.pi / 2,)
     assert breakpoints(kernel("matern")) == ()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: fourier_coeffs(k, 10),
+        lambda k: gegenbauer_coeffs(k, 2, 10),
+        lambda k: polya_circle(k),
+        lambda k: gram_report(k, sample_points(2, 5, seed=0)),
+        lambda k: estimate_fractal_index(k),
+    ],
+    ids=["fourier_coeffs", "gegenbauer_coeffs", "polya_circle", "gram_report",
+         "estimate_fractal_index"],
+)
+def test_non_callable_kernel_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call("matern")
 
 
 def test_euclid_derivative_matches_finite_differences():

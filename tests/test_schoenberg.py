@@ -7,14 +7,11 @@ import numpy as np
 import pytest
 from conftest import DEFAULT_SPECS, IN_RANGE_POINTS
 
-from spherekernels import kernel
-from spherekernels.errors import (
-    DimensionMismatchError,
-    DomainError,
-    QuadratureCapacityError,
-)
+from spherekernels import catalog, kernel
+from spherekernels.errors import DimensionMismatchError, DomainError
 from spherekernels.schoenberg import (
     SchoenbergSequence,
+    _theta_rule,
     coeffs_d5_from_d1,
     fourier_coeffs,
     from_csv,
@@ -81,11 +78,15 @@ def test_fourier_spherical_analytic_oracle():
         assert abs(b[n] - expected) < 1e-12
 
 
-def test_fourier_quadrature_capacity():
-    with pytest.raises(QuadratureCapacityError):
-        fourier_coeffs(_cos, 100, quadrature_order=128)
-    seq = fourier_coeffs(_cos, 30, quadrature_order=512)
-    assert abs(seq.coeffs[1] - 1.0) < 1e-12
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+def test_fourier_matches_cosine_projection_on_the_same_rule(spec):
+    # reference: the explicit cos(n theta) basis on the library's own nodes
+    n_max = 2000
+    x, w = _theta_rule(catalog.breakpoints(spec), n_max)
+    basis = np.cos(np.outer(np.arange(n_max + 1), x))
+    expected = (2.0 / PI) * basis @ (catalog.evaluate(spec, x) * w)
+    expected[0] *= 0.5
+    assert np.max(np.abs(fourier_coeffs(spec, n_max).coeffs - expected)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +297,33 @@ def test_membership_monotonicity_diagnostics_for_d3():
     assert membership(kernel("sine_power", alpha=1.0), 2, 60).monotonicity is None
 
 
+def _cosine_monotonicity(kern, n_max):
+    # reference: the conditions read directly off the cosine sequence
+    cb = fourier_coeffs(kern, n_max + 2).coeffs
+    slack = 1e-12 * max(1.0, float(np.abs(cb).max()))
+    pair_gap = cb[3:] - cb[1:-2]  # b_{n+2,1} - b_{n,1}, n = 1..n_max
+    violations = np.flatnonzero(pair_gap > slack) + 1
+    return {
+        "b2_le_2b0": bool(cb[2] <= 2.0 * cb[0] + slack),
+        "pairs_nonincreasing": violations.size == 0,
+        "violations": tuple(int(v) for v in violations[:10]),
+    }
+
+
+@pytest.mark.parametrize("n_max", [60, 200])
+@pytest.mark.parametrize("spec", [*DEFAULT_SPECS, kernel("askey", c=1.0, tau=1.5)], ids=str)
+def test_membership_monotonicity_matches_cosine_sequence(spec, n_max):
+    assert membership(spec, 3, n_max).monotonicity == _cosine_monotonicity(spec, n_max)
+
+
+def test_membership_monotonicity_violations_gaussian():
+    spec = kernel("powered_exponential", c=1, alpha=2)
+    mono = membership(spec, 3, 200).monotonicity
+    assert mono == _cosine_monotonicity(spec, 200)
+    assert not mono["pairs_nonincreasing"]
+    assert mono["violations"][:3] == (8, 10, 12)
+
+
 def test_membership_nesting():
     # PASS at d+2 implies PASS at d at the same tolerances
     for spec in (
@@ -365,6 +393,13 @@ def test_csv_roundtrip():
     assert back.source == seq.source
     assert back.quadrature_order == seq.quadrature_order
     assert np.array_equal(back.coeffs, seq.coeffs)
+
+
+@pytest.mark.parametrize("indices", [(0, 1, 3), (0, 1, 3, 3), (0, 1, 1, 2), (-1, 0, 1), (1, 2)])
+def test_csv_rejects_gapped_duplicated_or_negative_indices(indices):
+    text = "# d=1\nn,b\n" + "".join(f"{n},0.25\n" for n in indices)
+    with pytest.raises(DomainError):
+        from_csv(io.StringIO(text))
 
 
 def test_csv_roundtrip_via_file(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherekernels.errors import DomainError
 from spherekernels.special import (
@@ -12,6 +14,7 @@ from spherekernels.special import (
     gegenbauer,
     gegenbauer_connection,
     gegenbauer_normalized,
+    gegenbauer_normalized_table,
     gegenbauer_one,
     legendre,
 )
@@ -163,6 +166,17 @@ def test_gegenbauer_connection_sum():
         direct = gegenbauer(n, 1.5, x)
         expanded = gegenbauer_connection(n, 1.5, 0.5, x)
         assert np.max(np.abs(direct - expanded)) < 1e-10
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.floats(0.0, math.pi), min_size=1, max_size=16))
+def test_lambda_zero_table_is_cosine_basis(thetas):
+    # at lambda = 0 the normalized recurrence is Chebyshev: R_n(cos t) = cos(n t)
+    theta = np.array(thetas)
+    n = np.arange(2001)
+    table = gegenbauer_normalized_table(2000, 0.0, np.cos(theta))
+    bound = 4.0 * np.maximum(1, n)[:, None] ** 2 * np.finfo(float).eps
+    assert np.all(np.abs(table - np.cos(np.outer(n, theta))) <= bound)
 
 
 def test_recurrence_bound_on_random_samples():

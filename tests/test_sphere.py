@@ -73,6 +73,14 @@ def test_fibonacci_quasi_uniform():
     assert dist.min() > 0.1
 
 
+@pytest.mark.parametrize("n", [50, 2500])
+def test_point_set_rejects_duplicates_at_any_size(n):
+    pts = sample_points(2, n, seed=4).points.copy()
+    pts[-1] = pts[n // 2]
+    with pytest.raises(DomainError):
+        SpherePointSet(pts)
+
+
 def test_sampling_scheme_errors():
     with pytest.raises(DomainError):
         sample_points(3, 10, "fibonacci_s2")
