@@ -617,8 +617,8 @@ def euclid_derivative(spec: KernelSpec, t, order: int = 1):
     """Derivative phi^(order)(t) of the Euclidean profile, order in {1, 2, 3}.
 
     The first derivative is analytic for every Euclidean family; higher
-    orders fall back to central differences of the analytic first
-    derivative (step 1e-3 * max(1, t)) unless the family supplies them;
+    orders fall back to differences of the analytic first derivative
+    (step 1e-3 * max(1, t), forward near 0) unless the family supplies them;
     for orders that do not exist classically everywhere on (0, inf) see
     ``max_derivative_order``.
     """
@@ -631,15 +631,24 @@ def euclid_derivative(spec: KernelSpec, t, order: int = 1):
     scalar = np.isscalar(t) or np.ndim(t) == 0
     if fam.dnphi is not None:
         out = fam.dnphi(spec.params, arr, order)
-        return float(out) if scalar else out
+    else:
+        out = _derivative_from_first(lambda x: fam.dphi(spec.params, x), arr, order)
+    return float(out) if scalar else out
+
+
+def _derivative_from_first(d1: Callable[[np.ndarray], np.ndarray], t: np.ndarray, order: int):
+    """phi^(order)(t) from the first derivative d1, order in {1, 2, 3}.
+
+    Order 1 is d1 itself.  Higher orders are differences of d1 with step
+    h = 1e-3 * max(1, t): central where t >= h, one-sided forward below,
+    so that t - h never leaves the domain.
+    """
     if order == 1:
-        out = fam.dphi(spec.params, arr)
-        return float(out) if scalar else out
-    flat = np.atleast_1d(arr)
+        return d1(t)
+    flat = np.atleast_1d(np.asarray(t, dtype=float))
     h = 1e-3 * np.maximum(1.0, flat)
-    d1 = lambda x: fam.dphi(spec.params, x)
     out = np.empty_like(flat)
-    ctr = flat >= h  # forward stencils where t - h would leave the domain
+    ctr = flat >= h
     fwd = ~ctr
     tc, hc = flat[ctr], h[ctr]
     tf, hf = flat[fwd], h[fwd]
@@ -649,7 +658,7 @@ def euclid_derivative(spec: KernelSpec, t, order: int = 1):
     else:
         out[ctr] = (d1(tc + hc) - 2.0 * d1(tc) + d1(tc - hc)) / (hc * hc)
         out[fwd] = (d1(tf) - 2.0 * d1(tf + hf) + d1(tf + 2 * hf)) / (hf * hf)
-    return float(out[0]) if scalar else out.reshape(arr.shape)
+    return out.reshape(np.shape(t))
 
 
 def yadrenko(spec: KernelSpec, theta):

@@ -13,6 +13,14 @@ for positive definiteness on a finite grid:
   strictly positive definite kernel on spheres up to dimension 2n + 1.
   Orders beyond 3 are rejected: whether the criterion extends is open.
 
+The profile checkers take a KernelSpec with a Euclidean profile, or a
+callable profile phi(t) together with its first derivative as ``dphi=``;
+a callable without ``dphi`` is rejected.  Derivatives of order 2 and 3
+that have no closed form come from one finite-difference rule on phi'
+(``catalog.euclid_derivative``: step 1e-3 * max(1, t), forward near 0).
+``polya_circle`` integrates psi on the same graded theta rule as the
+Schoenberg coefficients.
+
 Grid checks cannot certify convexity, so a YES here is a verified
 hypothesis on the grid, NO exhibits violations, and INCONCLUSIVE flags
 violations within tolerance of zero.
@@ -26,13 +34,11 @@ from typing import Callable
 
 import numpy as np
 
-from . import catalog
+from . import catalog, schoenberg
 from .errors import DomainError
-from .special import gauss_legendre
 
 __all__ = ["CriterionReport", "polya_2n1", "polya_circle", "polya_s3"]
 
-_FD_STEP = 1e-4  # central-difference step (scaled by max(1, t)) for missing derivatives
 _FD_GRID_START = 1e-2  # finite-difference noise swamps the convexity signal below this
 
 
@@ -61,7 +67,7 @@ def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray], tol: 
     floor = 64 * np.finfo(float).eps * scale  # roundoff floor
     hard = np.concatenate([mids[excess > tol * scale], x[1:-1][chord_excess > tol * scale]])
     soft = np.concatenate([mids[excess > floor], x[1:-1][chord_excess > floor]])
-    return np.sort(hard), np.sort(soft), gx
+    return np.sort(hard), np.sort(soft)
 
 
 def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
@@ -74,7 +80,7 @@ def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
 
 def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionReport:
     """Check nonincreasingness, convexity and integral sign of psi on [0, pi]."""
-    psi, _ = catalog.as_psi(kern)
+    psi, breaks = catalog.as_psi(kern)
     if abs(float(psi(np.array([0.0]))[0]) - 1.0) > 1e-12:
         raise DomainError("candidate must satisfy psi(0) = 1 within 1e-12")
     x = np.linspace(0.0, math.pi, grid_size)
@@ -82,11 +88,9 @@ def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionR
     scale = max(1.0, float(np.abs(fx).max()))
     increases = x[1:][np.diff(fx) > tol * scale]
     soft_increases = x[1:][np.diff(fx) > 64 * np.finfo(float).eps * scale]
-    hard_cvx, soft_cvx, _ = _convexity_flags(x, psi, tol)
-    rule = gauss_legendre(256)
-    integral = float(
-        np.dot(rule.weights, psi(0.5 * math.pi * rule.nodes + 0.5 * math.pi)) * 0.5 * math.pi
-    )
+    hard_cvx, soft_cvx = _convexity_flags(x, psi, tol)
+    nodes, weights = schoenberg._theta_rule(breaks, 0)
+    integral = float(weights @ psi(nodes))
     integral_bad = integral < -1e-10
 
     hard = np.concatenate([increases, hard_cvx])
@@ -115,37 +119,50 @@ def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionR
     )
 
 
-def _euclid_profile(kern, dphi, order: int):
-    """Resolve (phi, phi^(order), scale, fd_based) from a spec or raw callables."""
+def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, tol, details):
+    """Shared body of polya_s3 and polya_2n1: convexity of (-1)^order phi^(order),
+    read at sqrt(t) on a grid spanning T^2 when ``squared`` (S^3), else at t up to T.
+    """
     if isinstance(kern, catalog.KernelSpec):
         phi = lambda t: catalog.evaluate_euclidean(kern, t)
         deriv = lambda t: catalog.euclid_derivative(kern, t, order)
         scale = kern.params.get("c", 1.0)
         fd_based = order > 1 and not catalog.has_analytic_derivatives(kern)
-        return phi, deriv, scale, fd_based
-    phi = lambda t: np.asarray(kern(t), dtype=float)
-    if dphi is not None and order == 1:
-        return phi, (lambda t: np.asarray(dphi(t), dtype=float)), None, False
-    base = dphi if dphi is not None else kern
-    base_order = order - 1 if dphi is not None else order
-    if base_order == 0:
-        return phi, (lambda t: np.asarray(base(t), dtype=float)), None, False
-
-    def deriv(t: np.ndarray) -> np.ndarray:
-        h = _FD_STEP * np.maximum(1.0, t)
-        f = lambda s: np.asarray(base(s), dtype=float)
-        if base_order == 1:
-            return (f(t + h) - f(t - h)) / (2.0 * h)
-        if base_order == 2:
-            return (f(t + h) - 2.0 * f(t) + f(t - h)) / (h * h)
-        return (f(t + 2 * h) - 2 * f(t + h) + 2 * f(t - h) - f(t - 2 * h)) / (2.0 * h**3)
-
-    return phi, deriv, None, True
-
-
-def _check_profile_start(phi) -> None:
+    elif callable(kern) and dphi is not None:
+        phi = lambda t: np.asarray(kern(t), dtype=float)
+        d1 = lambda t: np.asarray(dphi(t), dtype=float)
+        deriv = lambda t: catalog._derivative_from_first(d1, t, order)
+        scale = None
+        fd_based = order > 1
+    else:
+        raise DomainError(
+            "kernel must be a KernelSpec, or a callable profile phi(t) with its "
+            "first derivative passed as dphi="
+        )
     if abs(float(np.atleast_1d(phi(np.array([0.0])))[0]) - 1.0) > 1e-12:
         raise DomainError("profile must satisfy phi(0) = 1 within 1e-12")
+    T = horizon if horizon is not None else 50.0 * (scale or 2.0)
+    limit_val = float(np.atleast_1d(phi(np.array([T])))[0])
+    limit_ok = abs(limit_val) < 1e-6
+
+    sign = (-1.0) ** order
+    warp = np.sqrt if squared else (lambda t: t)
+    g = lambda t: sign * np.asarray(deriv(warp(t)), dtype=float)
+    start = math.log10(_FD_GRID_START) if fd_based else -6.0
+    span = (2.0 if squared else 1.0) * math.log10(T)
+    t_grid = np.logspace(start, span, grid_size)
+    hard, soft = _convexity_flags(t_grid, g, tol)
+    satisfied = _verdict(hard, soft)
+    if not limit_ok:
+        satisfied = "NO"
+    return CriterionReport(
+        criterion=criterion,
+        satisfied=satisfied,
+        implied_class=f"Psi_{2 * order + 1}+" if satisfied == "YES" else None,
+        violations=tuple(float(v) for v in hard[:20]),
+        grid_size=grid_size,
+        details={**details, "horizon": T, "phi_at_horizon": limit_val, "limit_ok": limit_ok},
+    )
 
 
 def polya_s3(
@@ -158,32 +175,14 @@ def polya_s3(
 ) -> CriterionReport:
     """Check phi(0)=1, decay at a finite horizon, and convexity of -phi'(sqrt t).
 
-    YES implies the restriction of phi to [0, pi] is strictly positive
-    definite on spheres up to dimension 3.  The decay hypothesis is
-    asymptotic; it is tested as |phi(T)| < 1e-6 at T = horizon (default
-    50 * scale when the spec carries a scale, else 100).
+    ``kern`` is a KernelSpec with a Euclidean profile, or a callable
+    profile phi(t) together with its first derivative ``dphi``; a callable
+    without ``dphi`` raises DomainError.  YES implies the restriction of phi
+    to [0, pi] is strictly positive definite on spheres up to dimension 3.
+    The decay hypothesis is asymptotic; it is tested as |phi(T)| < 1e-6 at
+    T = horizon (default 50 * scale when the spec carries a scale, else 100).
     """
-    phi, deriv, scale, fd_based = _euclid_profile(kern, dphi, order=1)
-    _check_profile_start(phi)
-    T = horizon if horizon is not None else 50.0 * (scale or 2.0)
-    limit_val = float(np.atleast_1d(phi(np.array([T])))[0])
-    limit_ok = abs(limit_val) < 1e-6
-
-    g = lambda t: -np.asarray(deriv(np.sqrt(t)), dtype=float)
-    start = math.log10(_FD_GRID_START) if fd_based else -6.0
-    t_grid = np.logspace(start, 2.0 * math.log10(T), grid_size)
-    hard, soft, _ = _convexity_flags(t_grid, g, tol)
-    satisfied = _verdict(hard, soft)
-    if not limit_ok:
-        satisfied = "NO"
-    return CriterionReport(
-        criterion="polya_s3",
-        satisfied=satisfied,
-        implied_class="Psi_3+" if satisfied == "YES" else None,
-        violations=tuple(float(v) for v in hard[:20]),
-        grid_size=grid_size,
-        details={"horizon": T, "phi_at_horizon": limit_val, "limit_ok": limit_ok},
-    )
+    return _profile_report("polya_s3", kern, dphi, 1, True, grid_size, horizon, tol, {})
 
 
 def polya_2n1(
@@ -192,14 +191,18 @@ def polya_2n1(
     *,
     grid_size: int = 256,
     horizon: float | None = None,
-    dnphi: Callable | None = None,
+    dphi: Callable | None = None,
     tol: float = 1e-9,
 ) -> CriterionReport:
     """Check convexity of (-1)^n phi^(n) for n in {1, 2, 3}.
 
-    YES implies the restriction of phi to [0, pi] is strictly positive
-    definite on spheres up to dimension 2n + 1.  Orders n > 3 are
-    rejected; whether the criterion extends to them is an open question.
+    ``kern`` is a KernelSpec with a Euclidean profile, or a callable
+    profile phi(t) together with its first derivative ``dphi``; a callable
+    without ``dphi`` raises DomainError.  Orders n >= 2 without a closed
+    form are differences of phi' with step 1e-3 * max(1, t).  YES implies
+    the restriction of phi to [0, pi] is strictly positive definite on
+    spheres up to dimension 2n + 1.  Orders n > 3 are rejected; whether
+    the criterion extends to them is an open question.
     """
     if n not in (1, 2, 3):
         raise DomainError(
@@ -219,25 +222,6 @@ def polya_2n1(
                 "everywhere on (0, inf)",
             },
         )
-    phi, deriv, scale, fd_based = _euclid_profile(kern, dnphi, order=n)
-    _check_profile_start(phi)
-    T = horizon if horizon is not None else 50.0 * (scale or 2.0)
-    limit_val = float(np.atleast_1d(phi(np.array([T])))[0])
-    limit_ok = abs(limit_val) < 1e-6
-
-    sign = (-1.0) ** n
-    g = lambda t: sign * np.asarray(deriv(t), dtype=float)
-    start = math.log10(_FD_GRID_START) if fd_based else -6.0
-    t_grid = np.logspace(start, math.log10(T), grid_size)
-    hard, soft, _ = _convexity_flags(t_grid, g, tol)
-    satisfied = _verdict(hard, soft)
-    if not limit_ok:
-        satisfied = "NO"
-    return CriterionReport(
-        criterion="polya_2n1",
-        satisfied=satisfied,
-        implied_class=f"Psi_{2 * n + 1}+" if satisfied == "YES" else None,
-        violations=tuple(float(v) for v in hard[:20]),
-        grid_size=grid_size,
-        details={"order": n, "horizon": T, "phi_at_horizon": limit_val, "limit_ok": limit_ok},
+    return _profile_report(
+        "polya_2n1", kern, dphi, n, False, grid_size, horizon, tol, {"order": n}
     )

@@ -162,42 +162,45 @@ def _theta_rule(breaks: Sequence[float], n_max: int) -> tuple[np.ndarray, np.nda
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def fourier_coeffs(kern, n_max: int) -> SchoenbergSequence:
-    """Cosine coefficients b_{0,1}..b_{n_max,1} of a kernel on the circle."""
+def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
+    """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule."""
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
-    basis = gegenbauer_normalized_table(n_max, 0.0, np.cos(x))  # cos(n x), Chebyshev
-    coeffs = (2.0 / math.pi) * (basis @ (psi(x) * w))
-    coeffs[0] *= 0.5
-    return SchoenbergSequence(1, coeffs, quadrature_order=x.size, source="direct_quadrature")
+    basis = gegenbauer_normalized_table(n_max, (d - 1) / 2.0, np.cos(x))
+    fw = psi(x) * np.sin(x) ** (d - 1) * w
+    coeffs = _gegenbauer_scale(n_max, d) * (basis @ fw)
+    return SchoenbergSequence(d, coeffs, quadrature_order=x.size, source="direct_quadrature")
 
 
 def _gegenbauer_scale(n_max: int, d: int) -> np.ndarray:
-    """g_{n,d} with b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi dt."""
+    """g_{n,d} with b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi dt.
+
+    On the circle (d = 1) this is 1/pi for n = 0 and 2/pi after.
+    """
+    if d == 1:
+        out = np.full(n_max + 1, 2.0 / math.pi)
+        out[0] = 1.0 / math.pi
+        return out
     lam = (d - 1) / 2.0
-    g0 = (d - 1) * math.gamma(lam) ** 2 / (2.0 ** (3 - d) * math.pi * math.gamma(2 * lam))
     out = np.empty(n_max + 1)
-    out[0] = g0
+    out[0] = (d - 1) * math.gamma(lam) ** 2 / (2.0 ** (3 - d) * math.pi * math.gamma(2 * lam))
     for n in range(n_max):
         out[n + 1] = out[n] * (2 * n + d + 1) / (2 * n + d - 1) * (n + 2 * lam) / (n + 1)
     return out
+
+
+def fourier_coeffs(kern, n_max: int) -> SchoenbergSequence:
+    """Cosine coefficients b_{0,1}..b_{n_max,1} of a kernel on the circle."""
+    return _project(kern, 1, n_max)
 
 
 def gegenbauer_coeffs(kern, d: int, n_max: int) -> SchoenbergSequence:
     """Coefficients b_{0,d}..b_{n_max,d} on S^d for d >= 2, by quadrature."""
     if d < 2:
         raise DimensionMismatchError(f"direct Gegenbauer projection needs d >= 2, got {d}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
-    psi, breaks = catalog.as_psi(kern)
-    x, w = _theta_rule(breaks, n_max)
-    lam = (d - 1) / 2.0
-    basis = gegenbauer_normalized_table(n_max, lam, np.cos(x))
-    fw = psi(x) * np.sin(x) ** (d - 1) * w
-    coeffs = _gegenbauer_scale(n_max, d) * (basis @ fw)
-    return SchoenbergSequence(d, coeffs, quadrature_order=x.size, source="direct_quadrature")
+    return _project(kern, d, n_max)
 
 
 # --------------------------------------------------------------------------
@@ -310,13 +313,10 @@ def legendre_from_fourier(
 
 def reconstruct(seq: SchoenbergSequence, theta):
     """Evaluate the truncated expansion at theta; equals sum(coeffs) at 0."""
-    arr = np.asarray(theta, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > math.pi + 1e-12):
-        raise DomainError("great circle distance must lie in [0, pi]")
-    arr = np.clip(arr, 0.0, math.pi)
+    arr, scalar = catalog._check_theta(theta)
     basis = gegenbauer_normalized_table(seq.n_max, (seq.d - 1) / 2.0, np.cos(arr.ravel()))
     vals = seq.coeffs @ basis
-    return float(vals[0]) if (np.isscalar(theta) or np.ndim(theta) == 0) else vals.reshape(arr.shape)
+    return float(vals[0]) if scalar else vals.reshape(arr.shape)
 
 
 def strictness_evidence(
@@ -476,7 +476,10 @@ def from_csv(path_or_buf) -> SchoenbergSequence:
         if line.lower().startswith("n,"):
             continue
         n_str, _, b_str = line.partition(",")
-        rows.append((int(n_str), float(b_str)))
+        try:
+            rows.append((int(n_str), float(b_str)))
+        except ValueError:
+            raise DomainError(f"malformed coefficient row {line!r}: expected n,b") from None
     if not rows:
         raise DomainError("no coefficient rows found")
     rows.sort()

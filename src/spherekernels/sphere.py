@@ -81,14 +81,14 @@ class GramReport:
 
 
 def great_circle(x, y) -> float:
-    """arccos of the inner product of two unit vectors, clamped to [-1, 1]."""
+    """Great circle distance between two unit vectors, by ``pairwise_angles``."""
     xv = np.asarray(x, dtype=float)
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise DomainError("inputs must be two vectors of equal dimension")
     if abs(np.linalg.norm(xv) - 1.0) > 1e-9 or abs(np.linalg.norm(yv) - 1.0) > 1e-9:
         raise DomainError("great circle distance requires unit vectors (within 1e-9)")
-    return float(np.arccos(np.clip(np.dot(xv, yv), -1.0, 1.0)))
+    return float(pairwise_angles(xv[None], yv[None])[0, 0])
 
 
 def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -172,10 +172,15 @@ def test_simulate_deterministic_output(capsys):
     assert len(rows) == 4 and len(rows[0]) == 7
 
 
-def test_exit_code_domain_error(capsys):
+def test_exit_code_domain_error(capsys, tmp_path):
     code, _, err = _run(capsys, "eval", "--kernel", "nosuchfamily:c=1", "--theta", "1")
     assert code == 1
     assert "error:" in err
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# d=1\nn,b\n0,0.5\n1,abc\n")
+    code, out, err = _run(capsys, "reconstruct", "--coeffs", str(bad), "--theta", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "1,abc" in err
 
 
 def test_exit_code_usage_errors():

@@ -25,6 +25,12 @@ def test_circle_exponential_yes_and_strict():
     assert report.details["strict_note"] == "not piecewise linear"
 
 
+def test_circle_integral_on_the_theta_rule():
+    # (1 - theta/c)_+^tau integrates to c/(tau+1); the rule splits at the support edge
+    report = polya_circle(kernel("askey", c=0.5, tau=2.0))
+    assert report.details["integral"] == pytest.approx(0.5 / 3.0, rel=1e-12)
+
+
 def test_circle_gaussian_no():
     report = polya_circle(lambda th: np.exp(-(th**2)))
     assert report.satisfied == "NO"
@@ -59,6 +65,24 @@ def test_2n1_exponential_order3_yes():
     report = polya_2n1(kernel("matern", c=1.0, nu=0.5), 3)
     assert report.satisfied == "YES"
     assert report.implied_class == "Psi_7+"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_2n1_callable_profile_agrees_with_its_spec(n):
+    # e^{-t} is the matern nu = 1/2 profile; both take phi^(n) from phi' by one rule
+    from_callable = polya_2n1(lambda t: np.exp(-t), n, dphi=lambda t: -np.exp(-t))
+    from_spec = polya_2n1(kernel("matern", c=1.0, nu=0.5), n)
+    assert from_callable.satisfied == from_spec.satisfied == "YES"
+    assert from_callable.implied_class == from_spec.implied_class
+
+
+@pytest.mark.parametrize(
+    "check", [polya_s3, lambda k: polya_2n1(k, 1), lambda k: polya_2n1(k, 2)],
+    ids=["polya_s3", "polya_2n1-1", "polya_2n1-2"],
+)
+def test_profile_callable_needs_dphi(check):
+    with pytest.raises(DomainError, match="dphi"):
+        check(lambda t: np.exp(-t))
 
 
 def test_2n1_askey_tau5_order3_yes():

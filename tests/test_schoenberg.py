@@ -402,6 +402,13 @@ def test_csv_rejects_gapped_duplicated_or_negative_indices(indices):
         from_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("row", ["1,abc", "x,0.25", "1"])
+def test_csv_rejects_non_numeric_rows(row):
+    text = "# d=1\nn,b\n0,0.5\n" + row + "\n"
+    with pytest.raises(DomainError, match=row):
+        from_csv(io.StringIO(text))
+
+
 def test_csv_roundtrip_via_file(tmp_path):
     seq = fourier_coeffs(_cos, 12)
     path = tmp_path / "seq.csv"

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 from conftest import STRICT_DEFAULT_SPECS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherekernels import (
     SpherePointSet,
@@ -16,6 +18,7 @@ from spherekernels import (
     write_points,
 )
 from spherekernels.errors import DomainError
+from spherekernels.sphere import pairwise_angles
 
 
 def test_great_circle_trivial_points():
@@ -24,6 +27,21 @@ def test_great_circle_trivial_points():
     assert great_circle(x, -x) == pytest.approx(math.pi, abs=1e-15)
     y = np.array([math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3), 0.0])
     assert great_circle(x, y) == pytest.approx(2 * math.pi / 3, rel=1e-15)
+    near = np.array([math.cos(1e-7), math.sin(1e-7), 0.0])
+    assert great_circle(x, near) == pytest.approx(1e-7, rel=1e-12)
+
+
+_coords = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(_coords, min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1),
+       st.lists(_coords, min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1))
+def test_great_circle_is_the_pairwise_formula(u, v):
+    x = np.array(u) / np.linalg.norm(u)
+    y = np.array(v) / np.linalg.norm(v)
+    assert great_circle(x, x) == 0.0
+    assert great_circle(x, y) == pairwise_angles(x[None], y[None])[0, 0]
 
 
 def test_great_circle_rejects_non_unit():
