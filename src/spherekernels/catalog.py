@@ -1,9 +1,9 @@
 """Closed-form kernel families on spheres, with parameter validation.
 
 Every family is standardized to psi(0) = 1 and evaluated as a function of
-the great circle distance theta in [0, pi] (radians).  Families that are
-originally defined on Euclidean distances also expose their profile
-phi(t) on [0, infinity), which enables the chordal substitution
+the great circle distance theta in [0, pi] (radians).  Families defined on
+Euclidean distances (those with an analytic phi') read the same closed form
+as their profile phi(t), t >= 0, which enables the chordal substitution
 t = 2 sin(theta / 2) (``yadrenko``) and the derivative-based convexity
 criteria.
 
@@ -116,7 +116,6 @@ class _Family:
     expression: str
     rule: str
     psi: Callable[[dict, np.ndarray], np.ndarray]
-    phi: Callable[[dict, np.ndarray], np.ndarray] | None = None
     dphi: Callable[[dict, np.ndarray], np.ndarray] | None = None
     dnphi: Callable[[dict, np.ndarray, int], np.ndarray] | None = None
     fractal: Callable[[dict], float] | None = None
@@ -394,7 +393,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="exp(-(theta/c)^alpha)",
         rule="c > 0; alpha in (0,1]; all dimensions, strict",
         psi=_psi_powered_exponential,
-        phi=_psi_powered_exponential,
         dphi=_dphi_powered_exponential,
         fractal=lambda p: p["alpha"],
         classify=_classify_powered_exponential,
@@ -405,7 +403,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="2^(1-nu)/Gamma(nu) (theta/c)^nu K_nu(theta/c)",
         rule="c > 0; nu in (0,1/2]; all dimensions, strict",
         psi=_psi_matern,
-        phi=_psi_matern,
         dphi=_dphi_matern,
         fractal=lambda p: min(2.0 * p["nu"], 2.0),
         classify=_classify_matern,
@@ -416,7 +413,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="(1+(theta/c)^alpha)^(-tau/alpha)",
         rule="c > 0; tau > 0; alpha in (0,1]; all dimensions, strict",
         psi=_psi_generalized_cauchy,
-        phi=_psi_generalized_cauchy,
         dphi=_dphi_generalized_cauchy,
         fractal=lambda p: p["alpha"],
         classify=_classify_generalized_cauchy,
@@ -427,7 +423,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="1-((theta/c)^tau/(1+theta/c)^tau)^(alpha/tau)",
         rule="c > 0; tau in (0,1]; alpha in (0,tau); all dimensions, strict",
         psi=_psi_dagum,
-        phi=_psi_dagum,
         dphi=_dphi_dagum,
         fractal=lambda p: p["alpha"],
         classify=_classify_dagum,
@@ -455,7 +450,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="(1+theta/(2c)) (1-theta/c)_+^2",
         rule="c > 0; dimensions d <= 3, strict",
         psi=_psi_spherical,
-        phi=_psi_spherical,
         dphi=_dphi_spherical,
         fractal=lambda p: 1.0,
         classify=_classify_spherical,
@@ -468,7 +462,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="(1-theta/c)_+^tau",
         rule="c > 0; tau >= 2; dimensions d <= 3, strict",
         psi=_psi_askey,
-        phi=_psi_askey,
         dphi=_dphi_askey,
         dnphi=_dnphi_askey,
         fractal=lambda p: 1.0,
@@ -482,7 +475,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="(1+tau theta/c) (1-theta/c)_+^tau",
         rule="c in (0,pi]; tau >= 4; dimensions d <= 3, strict",
         psi=_psi_wendland_c2,
-        phi=_psi_wendland_c2,
         dphi=_dphi_wendland_c2,
         fractal=lambda p: 2.0,
         classify=_classify_wendland(4.0),
@@ -495,7 +487,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="(1+tau u+(tau^2-1)/3 u^2) (1-u)_+^tau, u=theta/c",
         rule="c in (0,pi]; tau >= 6; dimensions d <= 3, strict",
         psi=_psi_wendland_c4,
-        phi=_psi_wendland_c4,
         dphi=_dphi_wendland_c4,
         fractal=lambda p: 2.0,
         classify=_classify_wendland(6.0),
@@ -508,7 +499,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="fifth-order piecewise rational, support [0, c]",
         rule="c in (0,pi]; dimensions d <= 3, strict",
         psi=_psi_gaspari_cohn,
-        phi=lambda p, t: _gc_profile(np.asarray(t, dtype=float) / p["c"]),
         dphi=_dphi_gaspari_cohn,
         classify=_classify_gaspari_cohn,
         breaks=_breaks_gaspari_cohn,
@@ -604,12 +594,12 @@ def evaluate_euclidean(spec: KernelSpec, t):
     (or on every Euclidean space); raises DomainError otherwise.
     """
     fam = _FAMILIES[spec.family]
-    if fam.phi is None:
+    if fam.dphi is None:
         raise DomainError(f"{spec.family} has no Euclidean-argument profile")
     arr = np.asarray(t, dtype=float)
     if np.any(arr < 0):
         raise DomainError("Euclidean distance must be >= 0")
-    out = fam.phi(spec.params, arr)
+    out = fam.psi(spec.params, arr)
     return float(out) if (np.isscalar(t) or np.ndim(t) == 0) else out
 
 
@@ -668,10 +658,10 @@ def yadrenko(spec: KernelSpec, theta):
     result never drops below about -0.2127 for any valid profile on R^3.
     """
     fam = _FAMILIES[spec.family]
-    if fam.phi is None:
+    if fam.dphi is None:
         raise DomainError(f"{spec.family} has no Euclidean-argument profile")
     arr, scalar = _check_theta(theta)
-    out = fam.phi(spec.params, 2.0 * np.sin(arr / 2.0))
+    out = fam.psi(spec.params, 2.0 * np.sin(arr / 2.0))
     return float(out) if scalar else out
 
 

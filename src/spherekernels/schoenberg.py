@@ -36,7 +36,7 @@ import numpy as np
 
 from . import catalog
 from .errors import DimensionMismatchError, DomainError
-from .special import _leggauss_cached, gegenbauer_normalized_table
+from .special import _leggauss_cached, _normalized_rows, gegenbauer_normalized_table
 
 __all__ = [
     "MembershipVerdict",
@@ -168,9 +168,9 @@ def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
-    basis = gegenbauer_normalized_table(n_max, (d - 1) / 2.0, np.cos(x))
     fw = psi(x) * np.sin(x) ** (d - 1) * w
-    coeffs = _gegenbauer_scale(n_max, d) * (basis @ fw)
+    rows = _normalized_rows(n_max, (d - 1) / 2.0, np.cos(x))
+    coeffs = _gegenbauer_scale(n_max, d) * np.fromiter((r @ fw for r in rows), float, n_max + 1)
     return SchoenbergSequence(d, coeffs, quadrature_order=x.size, source="direct_quadrature")
 
 
@@ -485,10 +485,16 @@ def from_csv(path_or_buf) -> SchoenbergSequence:
     rows.sort()
     if [n for n, _ in rows] != list(range(len(rows))):
         raise DomainError("coefficient indices must run 0, 1, ..., n_max without gaps or repeats")
-    coeffs = np.array([b for _, b in rows])
+    ints = {}
+    for key, default in (("d", "1"), ("quadrature_order", "0")):
+        try:
+            ints[key] = int(meta.get(key, default))
+        except ValueError:
+            raise DomainError(
+                f"malformed metadata {key}={meta[key]!r}: expected an integer"
+            ) from None
     return SchoenbergSequence(
-        d=int(meta.get("d", "1")),
-        coeffs=coeffs,
-        quadrature_order=int(meta.get("quadrature_order", "0")),
+        coeffs=np.array([b for _, b in rows]),
         source=meta.get("source", "unknown"),
+        **ints,
     )

@@ -1,7 +1,7 @@
 """Orthogonal polynomials, modified Bessel functions and Gauss-Legendre rules.
 
-Every Gegenbauer (ultraspherical) evaluation runs one recurrence, for the
-normalized polynomials R_n = C_n^lambda(x) / C_n^lambda(1):
+Every Gegenbauer (ultraspherical) evaluation streams one recurrence, row
+by row and two rows held, for the normalized R_n = C_n^lambda(x) / C_n^lambda(1):
 
     R_0 = 1,  R_1 = x,
     (n + 2*lambda) R_{n+1} = 2 (n + lambda) x R_n - n R_{n-1}.
@@ -11,7 +11,7 @@ form for large n.  At lambda = 0 it is the Chebyshev recurrence
 R_{n+1} = 2 x R_n - R_{n-1}, so R_n(cos theta) = cos(n theta) is the
 cosine basis of the circle.  The classical C_n^lambda is R_n scaled by
 C_n^lambda(1) (taken as 1 at lambda = 0), and the Legendre polynomials
-are the lambda = 1/2 case.
+are the lambda = 1/2 case.  The (n + 1) x len(x) table is built from the stream.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -95,6 +96,16 @@ def gegenbauer_one(n: int, lam: float) -> float:
     return value
 
 
+def _normalized_rows(n_max: int, lam: float, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield R_0(x), ..., R_{n_max}(x) for unchecked x in [-1, 1], two rows held at a time."""
+    prev, cur = np.ones_like(x), x
+    yield prev
+    for k in range(1, n_max + 1):
+        yield cur
+        if k < n_max:
+            prev, cur = cur, (2.0 * (k + lam) * x * cur - k * prev) / (k + 2.0 * lam)
+
+
 def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
     """Table of C_n^lam(x)/C_n^lam(1) for n = 0..n_max, shape (n_max + 1, len(x)).
 
@@ -102,18 +113,16 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
     """
     arr = _check_poly_args(n_max, lam, np.asarray(x, dtype=float))
     table = np.empty((n_max + 1, arr.size))
-    table[0] = 1.0
-    if n_max >= 1:
-        table[1] = arr
-    for k in range(1, n_max):
-        table[k + 1] = (2.0 * (k + lam) * arr * table[k] - k * table[k - 1]) / (k + 2.0 * lam)
+    for k, row in enumerate(_normalized_rows(n_max, lam, arr)):
+        table[k] = row
     return table
 
 
 def gegenbauer_normalized(n: int, lam: float, x):
-    """Evaluate C_n^lam(x) / C_n^lam(1): the last row of the normalized table."""
-    arr = np.asarray(x, dtype=float)
-    out = gegenbauer_normalized_table(n, lam, arr.ravel())[-1].reshape(arr.shape)
+    """Evaluate C_n^lam(x) / C_n^lam(1), keeping two rows of the recurrence."""
+    arr = _check_poly_args(n, lam, x)
+    for out in _normalized_rows(n, lam, arr):
+        pass
     return float(out) if arr.ndim == 0 else out
 
 

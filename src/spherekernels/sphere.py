@@ -15,6 +15,7 @@ from typing import Iterable
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.distance import cdist
 
 from . import catalog
 from .errors import DomainError
@@ -45,6 +46,8 @@ class SpherePointSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 2:
             raise DomainError("points must be an (n, d+1) array with n >= 1, d >= 1")
+        if not np.all(np.isfinite(pts)):
+            raise DomainError("point coordinates must be finite")
         norms = np.linalg.norm(pts, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise DomainError("every point must have unit norm (within 1e-9)")
@@ -98,9 +101,8 @@ def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     stays accurate for nearly coincident points where arccos of the inner
     product loses half the digits (and rough kernels amplify the loss).
     """
-    diff = a[:, None, :] - b[None, :, :]
-    half_chord = 0.5 * np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return 2.0 * np.arcsin(np.clip(half_chord, 0.0, 1.0))
+    half_chord = cdist(a, b) / 2.0
+    return 2.0 * np.arcsin(np.clip(half_chord, 0.0, 1.0, out=half_chord), out=half_chord)
 
 
 def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> SpherePointSet:
@@ -137,10 +139,9 @@ def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> 
 
 
 def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
-    """K_ij = psi(theta_ij), symmetrized against rounding in psi."""
+    """K_ij = psi(theta_ij); LAPACK's eigvalsh and lower Cholesky read one triangle."""
     psi, _ = catalog.as_psi(kern)
-    K = psi(pts.distance_matrix())
-    return 0.5 * (K + K.T)
+    return psi(pts.distance_matrix())
 
 
 def gram_report(kern, pts: SpherePointSet, tol: float = 1e-8) -> GramReport:
@@ -196,18 +197,28 @@ def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
     if not rows:
         raise DomainError(f"no rows in point file {path}")
     header = [h.strip().lower() for h in rows[0]]
-    body = rows[1:]
     has_value = header and header[-1] == "value"
     coord_names = header[:-1] if has_value else header
-    values = np.array([float(r[-1]) for r in body]) if has_value else None
-    if coord_names[:2] == ["lat_deg", "lon_deg"]:
-        lat = np.radians([float(r[0]) for r in body])
-        lon = np.radians([float(r[1]) for r in body])
-        pts = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
-    elif all(name == f"x{i}" for i, name in enumerate(coord_names)):
-        pts = np.array([[float(v) for v in r[: len(coord_names)]] for r in body])
-    else:
+    latlon = coord_names[:2] == ["lat_deg", "lon_deg"]
+    if not latlon and not all(name == f"x{i}" for i, name in enumerate(coord_names)):
         raise DomainError(
             f"unrecognized point columns {header}: expected lat_deg,lon_deg or x0..xd"
         )
+    n_coords = 2 if latlon else len(coord_names)
+    columns = list(range(n_coords)) + ([len(header) - 1] if has_value else [])
+    table = np.empty((len(rows) - 1, len(columns)))
+    for i, row in enumerate(rows[1:]):
+        try:
+            table[i] = [float(row[c]) for c in columns]
+        except (ValueError, IndexError):
+            raise DomainError(
+                f"malformed row {','.join(row)!r} in point file {path}: "
+                f"expected numbers in columns {', '.join(header)}"
+            ) from None
+    values = table[:, -1] if has_value else None
+    if latlon:
+        lat, lon = np.radians(table[:, 0]), np.radians(table[:, 1])
+        pts = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+    else:
+        pts = table[:, :n_coords]
     return SpherePointSet(pts), values

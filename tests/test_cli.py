@@ -172,6 +172,16 @@ def test_simulate_deterministic_output(capsys):
     assert len(rows) == 4 and len(rows[0]) == 7
 
 
+# verb, file flag, file content, text the one-line error must contain
+_BAD_FILES = [
+    ("interp", "--points", "lat_deg,lon_deg,value\n0,0,1.0\n30,abc,2.0\n", "30,abc,2.0"),
+    ("interp", "--points", "lat_deg,lon_deg,value\n0,0,1.0\n30\n", "'30'"),
+    ("gram", "--points", "x0,x1,x2\n1,0,0\nnan,0,1\n", "finite"),
+    ("gram", "--points", "x0,x1,x2\n1,0,0\n0,1\n", "'0,1'"),
+    ("reconstruct", "--coeffs", "# d=abc\nn,b\n0,1.0\n", "d='abc'"),
+]
+
+
 def test_exit_code_domain_error(capsys, tmp_path):
     code, _, err = _run(capsys, "eval", "--kernel", "nosuchfamily:c=1", "--theta", "1")
     assert code == 1
@@ -181,6 +191,13 @@ def test_exit_code_domain_error(capsys, tmp_path):
     code, out, err = _run(capsys, "reconstruct", "--coeffs", str(bad), "--theta", "1")
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1 and "1,abc" in err
+    for verb, flag, text, named in _BAD_FILES:
+        bad.write_text(text)
+        argv = [verb, flag, str(bad)]
+        argv += ["--theta", "1"] if verb == "reconstruct" else ["--kernel", "matern:c=1,nu=0.5"]
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == "", text
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
 
 
 def test_exit_code_usage_errors():

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from spherekernels import catalog, kernel
 from spherekernels.errors import DimensionMismatchError, DomainError
 from spherekernels.schoenberg import (
     SchoenbergSequence,
+    _gegenbauer_scale,
     _theta_rule,
     coeffs_d5_from_d1,
     fourier_coeffs,
@@ -24,7 +26,7 @@ from spherekernels.schoenberg import (
     walk_1_to_3,
     walk_d_to_d2,
 )
-from spherekernels.special import gegenbauer_normalized
+from spherekernels.special import gegenbauer_normalized, gegenbauer_normalized_table
 
 PI = math.pi
 
@@ -87,6 +89,30 @@ def test_fourier_matches_cosine_projection_on_the_same_rule(spec):
     expected = (2.0 / PI) * basis @ (catalog.evaluate(spec, x) * w)
     expected[0] *= 0.5
     assert np.max(np.abs(fourier_coeffs(spec, n_max).coeffs - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_projection_matches_the_table_on_the_same_rule(d):
+    # reference: the stored basis table times the weighted profile
+    n_max = 2000
+    for spec in DEFAULT_SPECS:
+        x, w = _theta_rule(catalog.breakpoints(spec), n_max)
+        fw = catalog.evaluate(spec, x) * np.sin(x) ** (d - 1) * w
+        table = gegenbauer_normalized_table(n_max, (d - 1) / 2.0, np.cos(x))
+        expected = _gegenbauer_scale(n_max, d) * (table @ fw)
+        got = fourier_coeffs(spec, n_max) if d == 1 else gegenbauer_coeffs(spec, d, n_max)
+        assert np.max(np.abs(got.coeffs - expected)) < 1e-9, spec
+
+
+def test_projection_does_not_store_the_basis():
+    spec = kernel("matern", c=0.3, nu=0.5)
+    tracemalloc.start()
+    try:
+        fourier_coeffs(spec, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6  # a stored 2001 x nodes table takes 67 MB
 
 
 # ---------------------------------------------------------------------------

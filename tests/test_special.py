@@ -1,6 +1,7 @@
 """Orthogonal polynomials, Bessel evaluation and quadrature rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -177,6 +178,19 @@ def test_lambda_zero_table_is_cosine_basis(thetas):
     table = gegenbauer_normalized_table(2000, 0.0, np.cos(theta))
     bound = 4.0 * np.maximum(1, n)[:, None] ** 2 * np.finfo(float).eps
     assert np.all(np.abs(table - np.cos(np.outer(n, theta))) <= bound)
+
+
+def test_single_degree_keeps_two_rows():
+    # the recurrence is streamed: no (n + 1) x len(x) table behind one degree
+    x = np.linspace(-1.0, 1.0, 2000)
+    tracemalloc.start()
+    try:
+        out = gegenbauer_normalized(2000, 1.0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert np.array_equal(out, gegenbauer_normalized_table(2000, 1.0, x)[-1])
 
 
 def test_recurrence_bound_on_random_samples():

@@ -1,6 +1,7 @@
 """Point sets, distances, sampling schemes and Gram verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,8 +114,22 @@ def test_point_set_validation():
         SpherePointSet(np.array([[1.0, 1.0, 0.0]]))  # not unit
     with pytest.raises(DomainError):
         SpherePointSet(np.array([[1.0, 0.0], [1.0, 0.0]]))  # duplicates
+    with pytest.raises(DomainError, match="finite"):
+        SpherePointSet(np.array([[1.0, 0.0, 0.0], [np.nan, 0.0, 1.0]]))
     ps = SpherePointSet(np.eye(3))
     assert ps.n_points == 3 and ps.d == 2
+
+
+def test_distances_build_only_the_result():
+    pts = sample_points(2, 2000, seed=4).points
+    tracemalloc.start()
+    try:
+        dist = pairwise_angles(pts, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * dist.nbytes  # no N x N x (d+1) difference tensor
+    assert np.array_equal(dist, dist.T) and not np.any(np.diag(dist))
 
 
 def test_distance_matrix_matches_great_circle():
