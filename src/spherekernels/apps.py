@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import catalog
 from .errors import DomainError, FactorizationError, ParameterError
-from .sphere import SpherePointSet, _gram_matrix, pairwise_angles
+from .sphere import SpherePointSet, _gram_matrix, _unit_norms, pairwise_angles
 
 __all__ = [
     "FieldSample",
@@ -92,7 +92,7 @@ def interpolate_fit(
     y = np.asarray(data, dtype=float)
     if y.shape != (nodes.n_points,):
         raise DomainError(f"data must have shape ({nodes.n_points},), got {y.shape}")
-    if ridge < 0:
+    if not ridge >= 0:
         raise DomainError("ridge must be >= 0")
     K = _gram_matrix(spec, nodes) + ridge * np.eye(nodes.n_points)
     L, jitter = _chol_with_jitter(K)
@@ -103,16 +103,13 @@ def interpolate_fit(
 def interpolate_eval(interp: Interpolant, x):
     """Evaluate sum_j w_j psi(theta(x, node_j)) at one point or a stack."""
     pts = np.asarray(x, dtype=float)
-    single = pts.ndim == 1
     pts2 = np.atleast_2d(pts)
-    if pts2.shape[1] != interp.nodes.d + 1:
-        raise DomainError(f"points must have {interp.nodes.d + 1} coordinates")
-    norms = np.linalg.norm(pts2, axis=1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise DomainError("evaluation points must be unit vectors (within 1e-9)")
-    angles = pairwise_angles(pts2 / norms[:, None], interp.nodes.points)
-    vals = catalog.evaluate(interp.spec, angles) @ interp.weights
-    return float(vals[0]) if single else vals
+    if pts2.ndim != 2 or pts2.shape[1] != interp.nodes.d + 1:
+        raise DomainError(f"points must be one vector or a stack of vectors with "
+                          f"{interp.nodes.d + 1} coordinates")
+    angles = pairwise_angles(pts2 / _unit_norms(pts2)[:, None], interp.nodes.points)
+    vals = (catalog.evaluate(interp.spec, angles) @ interp.weights).reshape(pts.shape[:-1])
+    return float(vals) if vals.ndim == 0 else vals
 
 
 def simulate(
@@ -128,7 +125,7 @@ def simulate(
         raise ParameterError(
             f"kernel {spec} is not valid on S^{pts.d}: {verdict.reason} (rule: {verdict.rule})"
         )
-    if n_samples < 1:
+    if not n_samples >= 1:
         raise DomainError("need n_samples >= 1")
     L, jitter = _chol_with_jitter(_gram_matrix(spec, pts))
     rng = np.random.default_rng(seed)
@@ -146,12 +143,12 @@ def estimate_fractal_index(
     """
     if not 0 < theta_min < theta_max <= 0.1:
         raise DomainError("need 0 < theta_min < theta_max <= 0.1")
-    if n_grid < 2:
+    if not n_grid >= 2:
         raise DomainError("need at least two grid points")
     psi, _ = catalog.as_psi(kern)
     theta = np.logspace(math.log10(theta_min), math.log10(theta_max), n_grid)
     drop = 1.0 - psi(theta)
-    if np.any(drop <= 0.0):
+    if not np.all(drop > 0.0):
         raise DomainError("kernel is flat on the grid: fractal index undefined")
     slope, _ = np.polyfit(np.log(theta), np.log(drop), 1)
     return float(slope)
@@ -167,9 +164,7 @@ def localization_compare(c: float, grid) -> np.ndarray:
     """
     if not 0 < c <= math.pi:
         raise DomainError("support scale c must lie in (0, pi]")
-    theta = np.asarray(grid, dtype=float)
-    if np.any(theta < 0) or np.any(theta > math.pi + 1e-12):
-        raise DomainError("grid angles must lie in [0, pi]")
+    theta = catalog._check_theta(grid)
     spec = catalog.kernel("gaspari_cohn", c=c)
     psi1 = catalog.evaluate_euclidean(
         catalog.kernel("gaspari_cohn", c=1.0), np.sin(theta / 2.0) / math.sin(c / 2.0)

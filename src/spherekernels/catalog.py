@@ -556,7 +556,7 @@ def validate_params(spec: KernelSpec, d) -> ValidityVerdict:
     ``d`` is a positive integer or ``math.inf``.  Validity is monotone:
     valid on S^d implies valid on every lower-dimensional sphere.
     """
-    if d != math.inf and (int(d) != d or d < 1):
+    if not (d == math.inf or (d >= 1 and float(d).is_integer())):
         raise DomainError(f"sphere dimension must be a positive integer or inf, got {d}")
     fam = _FAMILIES[spec.family]
     max_d, strict, reason = fam.classify(spec.params)
@@ -570,11 +570,20 @@ def validate_params(spec: KernelSpec, d) -> ValidityVerdict:
     )
 
 
-def _check_theta(theta) -> tuple[np.ndarray, bool]:
+def _check_theta(theta) -> np.ndarray:
+    """The angle gate: theta in [0, pi] within 1e-12, clipped; NaN fails."""
     arr = np.asarray(theta, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > math.pi + 1e-12):
+    if not (np.all(arr >= -1e-12) and np.all(arr <= math.pi + 1e-12)):
         raise DomainError("great circle distance must lie in [0, pi]")
-    return np.clip(arr, 0.0, math.pi), np.isscalar(theta) or np.ndim(theta) == 0
+    return np.clip(arr, 0.0, math.pi)
+
+
+def _check_distance(t) -> np.ndarray:
+    """The distance gate: finite t >= 0; NaN fails."""
+    arr = np.asarray(t, dtype=float)
+    if not (np.all(arr >= 0) and np.all(arr < math.inf)):
+        raise DomainError("Euclidean distance must be finite and >= 0")
+    return arr
 
 
 def evaluate(spec: KernelSpec, theta):
@@ -582,9 +591,9 @@ def evaluate(spec: KernelSpec, theta):
 
     Validity is not required: out-of-range parameter sets evaluate too.
     """
-    arr, scalar = _check_theta(theta)
+    arr = _check_theta(theta)
     out = _FAMILIES[spec.family].psi(spec.params, arr)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def evaluate_euclidean(spec: KernelSpec, t):
@@ -596,11 +605,9 @@ def evaluate_euclidean(spec: KernelSpec, t):
     fam = _FAMILIES[spec.family]
     if fam.dphi is None:
         raise DomainError(f"{spec.family} has no Euclidean-argument profile")
-    arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise DomainError("Euclidean distance must be >= 0")
+    arr = _check_distance(t)
     out = fam.psi(spec.params, arr)
-    return float(out) if (np.isscalar(t) or np.ndim(t) == 0) else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def euclid_derivative(spec: KernelSpec, t, order: int = 1):
@@ -617,13 +624,12 @@ def euclid_derivative(spec: KernelSpec, t, order: int = 1):
         raise DomainError(f"{spec.family} has no Euclidean-argument derivative")
     if order not in (1, 2, 3):
         raise DomainError(f"derivative order must be 1, 2 or 3, got {order}")
-    arr = np.asarray(t, dtype=float)
-    scalar = np.isscalar(t) or np.ndim(t) == 0
+    arr = _check_distance(t)
     if fam.dnphi is not None:
         out = fam.dnphi(spec.params, arr, order)
     else:
         out = _derivative_from_first(lambda x: fam.dphi(spec.params, x), arr, order)
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def _derivative_from_first(d1: Callable[[np.ndarray], np.ndarray], t: np.ndarray, order: int):
@@ -660,9 +666,9 @@ def yadrenko(spec: KernelSpec, theta):
     fam = _FAMILIES[spec.family]
     if fam.dphi is None:
         raise DomainError(f"{spec.family} has no Euclidean-argument profile")
-    arr, scalar = _check_theta(theta)
+    arr = _check_theta(theta)
     out = fam.psi(spec.params, 2.0 * np.sin(arr / 2.0))
-    return float(out) if scalar else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def fractal_index_theoretical(spec: KernelSpec) -> float | None:

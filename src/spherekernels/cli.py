@@ -3,8 +3,10 @@
 One verb per task; results go to stdout as CSV (default) or JSON
 (``--format json``), diagnostics to stderr.  Exit codes: 0 success,
 1 domain error (bad kernel, invalid parameters, math domain), 2 usage.
-Angles are radians unless ``--degrees`` is given, which converts the
-angular inputs (``--theta``, ``--grid``, ``--c``).
+Angles are radians.  The four verbs with angular inputs (``eval``,
+``reconstruct``, ``localize`` and ``fractal``) take ``--degrees``, which
+converts ``--theta``, ``--grid``, ``--c``, ``--theta-min`` and
+``--theta-max``; the other verbs reject it as a usage error.
 """
 
 from __future__ import annotations
@@ -219,7 +221,10 @@ def _cmd_simulate(args) -> None:
 def _cmd_fractal(args) -> None:
     spec = catalog.parse_kernel(args.kernel)
     estimate = apps.estimate_fractal_index(
-        spec, theta_min=args.theta_min, theta_max=args.theta_max, n_grid=args.n_grid
+        spec,
+        theta_min=_angle(args.theta_min, args.degrees),
+        theta_max=_angle(args.theta_max, args.degrees),
+        n_grid=args.n_grid,
     )
     theory = catalog.fractal_index_theoretical(spec)
     _emit(
@@ -260,9 +265,10 @@ def _cmd_reconstruct(args) -> None:
     )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, angles: bool = False) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
+    if angles:
+        p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
 
 
 def _add_pointset_args(p: argparse.ArgumentParser) -> None:
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--theta", type=float)
     g.add_argument("--grid", help="start:stop:count")
-    _add_common(p)
+    _add_common(p, angles=True)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("coeffs", help="coefficient sequence on S^d")
@@ -357,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta-min", type=float, default=1e-4)
     p.add_argument("--theta-max", type=float, default=1e-2)
     p.add_argument("--n-grid", type=int, default=20)
-    _add_common(p)
+    _add_common(p, angles=True)
     p.set_defaults(func=_cmd_fractal)
 
     p = sub.add_parser("localize", help="chordal vs great-circle localization table")
     p.add_argument("--c", type=float, required=True, help="support scale in (0, pi]")
     p.add_argument("--grid", help="start:stop:count (default 0:pi:361)")
-    _add_common(p)
+    _add_common(p, angles=True)
     p.set_defaults(func=_cmd_localize)
 
     p = sub.add_parser("reconstruct", help="evaluate a saved coefficient sequence")
@@ -371,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--theta", type=float)
     g.add_argument("--grid", help="start:stop:count")
-    _add_common(p)
+    _add_common(p, angles=True)
     p.set_defaults(func=_cmd_reconstruct)
 
     return parser

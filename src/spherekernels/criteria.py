@@ -70,6 +70,11 @@ def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray], tol: 
     return np.sort(hard), np.sort(soft)
 
 
+def _check_grid_size(grid_size: int) -> None:
+    if not grid_size >= 3:
+        raise DomainError(f"a convexity check needs grid_size >= 3, got {grid_size}")
+
+
 def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
     if hard.size:
         return "NO"
@@ -80,8 +85,9 @@ def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
 
 def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionReport:
     """Check nonincreasingness, convexity and integral sign of psi on [0, pi]."""
+    _check_grid_size(grid_size)
     psi, breaks = catalog.as_psi(kern)
-    if abs(float(psi(np.array([0.0]))[0]) - 1.0) > 1e-12:
+    if not abs(float(psi(np.array([0.0]))[0]) - 1.0) <= 1e-12:
         raise DomainError("candidate must satisfy psi(0) = 1 within 1e-12")
     x = np.linspace(0.0, math.pi, grid_size)
     fx = psi(x)
@@ -139,7 +145,7 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, t
             "kernel must be a KernelSpec, or a callable profile phi(t) with its "
             "first derivative passed as dphi="
         )
-    if abs(float(np.atleast_1d(phi(np.array([0.0])))[0]) - 1.0) > 1e-12:
+    if not abs(float(np.atleast_1d(phi(np.array([0.0])))[0]) - 1.0) <= 1e-12:
         raise DomainError("profile must satisfy phi(0) = 1 within 1e-12")
     T = horizon if horizon is not None else 50.0 * (scale or 2.0)
     limit_val = float(np.atleast_1d(phi(np.array([T])))[0])
@@ -182,6 +188,7 @@ def polya_s3(
     The decay hypothesis is asymptotic; it is tested as |phi(T)| < 1e-6 at
     T = horizon (default 50 * scale when the spec carries a scale, else 100).
     """
+    _check_grid_size(grid_size)
     return _profile_report("polya_s3", kern, dphi, 1, True, grid_size, horizon, tol, {})
 
 
@@ -209,6 +216,7 @@ def polya_2n1(
             f"order n={n} not supported: the criterion is proven for n <= 3 only "
             "(its extension to larger n is an open conjecture)"
         )
+    _check_grid_size(grid_size)
     if isinstance(kern, catalog.KernelSpec) and catalog.max_derivative_order(kern) < n:
         return CriterionReport(
             criterion="polya_2n1",

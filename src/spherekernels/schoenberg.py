@@ -70,7 +70,7 @@ class SchoenbergSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if self.d < 1:
+        if not self.d >= 1:
             raise DimensionMismatchError(f"sphere dimension must be >= 1, got {self.d}")
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise DomainError("coefficient sequence must be a nonempty 1-d array")
@@ -164,7 +164,7 @@ def _theta_rule(breaks: Sequence[float], n_max: int) -> tuple[np.ndarray, np.nda
 
 def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule."""
-    if n_max < 0:
+    if not n_max >= 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
@@ -198,7 +198,7 @@ def fourier_coeffs(kern, n_max: int) -> SchoenbergSequence:
 
 def gegenbauer_coeffs(kern, d: int, n_max: int) -> SchoenbergSequence:
     """Coefficients b_{0,d}..b_{n_max,d} on S^d for d >= 2, by quadrature."""
-    if d < 2:
+    if not d >= 2:
         raise DimensionMismatchError(f"direct Gegenbauer projection needs d >= 2, got {d}")
     return _project(kern, d, n_max)
 
@@ -289,7 +289,7 @@ def legendre_from_fourier(
     """
     if seq.d != 1:
         raise DimensionMismatchError(f"input must have d=1, got d={seq.d}")
-    if seq.n_max < n_out + 2 * k_tail + 2:
+    if not seq.n_max >= n_out + 2 * k_tail + 2:
         raise DimensionMismatchError(
             f"need cosine coefficients up to n={n_out + 2 * k_tail + 2}, have {seq.n_max}"
         )
@@ -313,10 +313,10 @@ def legendre_from_fourier(
 
 def reconstruct(seq: SchoenbergSequence, theta):
     """Evaluate the truncated expansion at theta; equals sum(coeffs) at 0."""
-    arr, scalar = catalog._check_theta(theta)
+    arr = catalog._check_theta(theta)
     basis = gegenbauer_normalized_table(seq.n_max, (seq.d - 1) / 2.0, np.cos(arr.ravel()))
-    vals = seq.coeffs @ basis
-    return float(vals[0]) if scalar else vals.reshape(arr.shape)
+    vals = (seq.coeffs @ basis).reshape(arr.shape)
+    return float(vals) if arr.ndim == 0 else vals
 
 
 def strictness_evidence(
@@ -374,11 +374,11 @@ def membership(
     read from the S^3 coefficients through b_{0,3} = b_{0,1} - b_{2,1}/2 and
     b_{n,3} = (n+1)(b_{n,1} - b_{n+2,1})/2 with a cosine-side slack of 1e-12.
     """
-    if d < 1:
+    if not d >= 1:
         raise DimensionMismatchError(f"sphere dimension must be >= 1, got {d}")
     if n_max is None:
         n_max = 200 if d <= 3 else 100
-    if n_max < 10:
+    if not n_max >= 10:
         raise DomainError(f"membership needs n_max >= 10, got {n_max}")
     seq = fourier_coeffs(kern, n_max) if d == 1 else gegenbauer_coeffs(kern, d, n_max)
     b = seq.coeffs

@@ -65,29 +65,27 @@ def _leggauss_cached(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def gauss_legendre(m: int) -> QuadratureRule:
     """Return the m-point Gauss-Legendre rule on [-1, 1]."""
-    if m < 1:
-        raise DomainError(f"quadrature order must be >= 1, got {m}")
+    if not (m >= 1 and float(m).is_integer()):
+        raise DomainError(f"quadrature order must be an integer >= 1, got {m}")
     x, w = _leggauss_cached(int(m))
     return QuadratureRule(nodes=x, weights=w, order=int(m))
 
 
 def _check_poly_args(n: int, lam: float, x) -> np.ndarray:
-    if n < 0:
+    """The basis-argument gate: n, lam >= 0 and x in [-1, 1] within 1e-12, clipped; NaN fails."""
+    if not n >= 0:
         raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    if lam < 0:
+    if not lam >= 0:
         raise DomainError(f"Gegenbauer parameter must be >= 0, got {lam}")
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) > 1.0 + 1e-12):
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
         raise DomainError("Gegenbauer argument must lie in [-1, 1]")
     return np.clip(arr, -1.0, 1.0)
 
 
 def gegenbauer_one(n: int, lam: float) -> float:
     """C_n^lam(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam)); equals 1 when lam = 0."""
-    if n < 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {n}")
-    if lam < 0:
-        raise DomainError(f"Gegenbauer parameter must be >= 0, got {lam}")
+    _check_poly_args(n, lam, 1.0)
     if lam == 0.0:
         return 1.0
     value = 1.0
@@ -111,7 +109,7 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
 
     At lam = 0 the rows are the Chebyshev polynomials, cos(n arccos x).
     """
-    arr = _check_poly_args(n_max, lam, np.asarray(x, dtype=float))
+    arr = _check_poly_args(n_max, lam, x)
     table = np.empty((n_max + 1, arr.size))
     for k, row in enumerate(_normalized_rows(n_max, lam, arr)):
         table[k] = row
@@ -146,17 +144,17 @@ def bessel_k(nu: float, t):
     Accurate to better than 1e-10 relative for nu in (0, 5] and
     t in [1e-8, 50].  Arguments below ``BESSEL_K_MIN_T`` raise OverflowError.
     """
-    if nu <= 0:
+    if not nu > 0:
         raise DomainError(f"Bessel order must be > 0, got {nu}")
     arr = np.asarray(t, dtype=float)
-    if np.any(arr <= 0):
+    if not np.all(arr > 0):
         raise DomainError("Bessel argument must be > 0")
-    if np.any(arr < BESSEL_K_MIN_T):
+    if not np.all(arr >= BESSEL_K_MIN_T):
         raise OverflowError(f"K_nu overflows for t < {BESSEL_K_MIN_T}")
     out = _sp.kv(nu, arr)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"K_{nu} overflowed at t={arr[~np.isfinite(out)][:3]}")
-    return float(out) if (np.isscalar(t) or np.ndim(t) == 0) else out
+    return float(out) if arr.ndim == 0 else out
 
 
 def gegenbauer_connection(n: int, lam: float, nu: float, x):
@@ -181,4 +179,4 @@ def gegenbauer_connection(n: int, lam: float, nu: float, x):
         )
         total += coeff * gegenbauer(n - 2 * k, nu, arr)
     out = pref * total
-    return float(out) if (np.isscalar(x) or np.ndim(x) == 0) else out
+    return float(out) if arr.ndim == 0 else out

@@ -40,22 +40,14 @@ class SpherePointSet:
     """Unit vectors in R^(d+1); rows are points on S^d, pairwise distinct."""
 
     points: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 2:
             raise DomainError("points must be an (n, d+1) array with n >= 1, d >= 1")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("point coordinates must be finite")
-        norms = np.linalg.norm(pts, axis=1)
-        if np.any(np.abs(norms - 1.0) > 1e-9):
-            raise DomainError("every point must have unit norm (within 1e-9)")
-        pts = pts / norms[:, None]
+        pts = pts / _unit_norms(pts)[:, None]
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        if self.labels is not None and len(self.labels) != pts.shape[0]:
-            raise DomainError("labels length must match the number of points")
         if cKDTree(pts).query_pairs(r=_DUPLICATE_CHORD):
             raise DomainError("points must be pairwise distinct")
 
@@ -89,9 +81,19 @@ def great_circle(x, y) -> float:
     yv = np.asarray(y, dtype=float)
     if xv.shape != yv.shape or xv.ndim != 1:
         raise DomainError("inputs must be two vectors of equal dimension")
-    if abs(np.linalg.norm(xv) - 1.0) > 1e-9 or abs(np.linalg.norm(yv) - 1.0) > 1e-9:
-        raise DomainError("great circle distance requires unit vectors (within 1e-9)")
+    _unit_norms(np.stack([xv, yv]))
     return float(pairwise_angles(xv[None], yv[None])[0, 0])
+
+
+def _unit_norms(pts: np.ndarray) -> np.ndarray:
+    """The unit-vector gate: the row norms, when every row is finite with norm 1 within 1e-9.
+
+    A non-finite coordinate makes the norm inf or NaN, which fails the test.
+    """
+    norms = np.linalg.norm(pts, axis=-1)
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
+        raise DomainError("points must be finite unit vectors (norm 1 within 1e-9)")
+    return norms
 
 
 def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,9 +114,9 @@ def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> 
     ``fibonacci_s2`` (quasi-uniform lattice, d = 2 only) and ``equator``
     (n equally spaced points on a great circle, any d).
     """
-    if n < 1:
+    if not n >= 1:
         raise DomainError(f"need n >= 1 points, got {n}")
-    if d < 1:
+    if not d >= 1:
         raise DomainError(f"sphere dimension must be >= 1, got {d}")
     if scheme == "uniform_random":
         rng = np.random.default_rng(seed)

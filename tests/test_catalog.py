@@ -8,16 +8,23 @@ from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
 
 from spherekernels import (
     KernelSpec,
+    bessel_k,
     estimate_fractal_index,
     evaluate,
     evaluate_euclidean,
     fourier_coeffs,
     fractal_index_theoretical,
     gegenbauer_coeffs,
+    gegenbauer_normalized,
     gram_report,
+    great_circle,
+    interpolate_eval,
+    interpolate_fit,
     kernel,
+    localization_compare,
     parse_kernel,
     polya_circle,
+    reconstruct,
     sample_points,
     validate_params,
     yadrenko,
@@ -262,6 +269,52 @@ def test_breakpoints():
 def test_non_callable_kernel_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call("matern")
+
+
+_MATERN = kernel("matern", c=0.3, nu=0.5)
+_PE = kernel("powered_exponential")
+_NAN = float("nan")
+
+
+def _interpolant():
+    return interpolate_fit(_MATERN, sample_points(2, 5, seed=0), np.arange(5.0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: evaluate(_MATERN, _NAN),
+        lambda: evaluate(_MATERN, [0.0, _NAN]),
+        lambda: evaluate_euclidean(_MATERN, _NAN),
+        lambda: evaluate_euclidean(_MATERN, math.inf),
+        lambda: euclid_derivative(_PE, -1.0),
+        lambda: euclid_derivative(_PE, _NAN),
+        lambda: yadrenko(_MATERN, _NAN),
+        lambda: gegenbauer_normalized(3, 0.5, _NAN),
+        lambda: reconstruct(fourier_coeffs(_MATERN, 20), _NAN),
+        lambda: localization_compare(1.0, [0.0, _NAN]),
+        lambda: interpolate_eval(_interpolant(), [_NAN, 0.0, 1.0]),
+        lambda: interpolate_eval(_interpolant(), np.tile([0.0, 0.0, 1.0], (2, 3, 1))),
+        lambda: great_circle([_NAN, 0.0, 1.0], [0.0, 0.0, 1.0]),
+        lambda: bessel_k(0.5, _NAN),
+        lambda: validate_params(_MATERN, _NAN),
+        lambda: validate_params(_MATERN, 2.5),
+    ],
+    ids=["evaluate", "evaluate-array", "evaluate_euclidean", "evaluate_euclidean-inf",
+         "euclid_derivative-negative", "euclid_derivative", "yadrenko",
+         "gegenbauer_normalized", "reconstruct", "localization_compare", "interpolate_eval",
+         "interpolate_eval-3d", "great_circle", "bessel_k", "validate_params", "validate_params-fraction"],
+)
+def test_input_outside_its_domain_is_a_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_angle_gate_allows_the_same_slack_everywhere():
+    grid = [-1e-13, 1.0, math.pi + 1e-13]
+    table = localization_compare(1.0, grid)
+    assert table[0, 0] == 0.0 and table[-1, 0] == math.pi
+    assert np.array_equal(table[:, 2], evaluate(kernel("gaspari_cohn", c=1.0), grid))
 
 
 def test_euclid_derivative_matches_finite_differences():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,15 @@ def test_eval_degrees_flag(capsys):
     assert float(_rows(out_rad)[0]["value"]) == pytest.approx(
         float(_rows(out_deg)[0]["value"]), rel=1e-12
     )
+
+
+def test_fractal_degrees_flag(capsys):
+    kern = ("--kernel", "matern:c=1,nu=0.3")
+    _, out_rad, _ = _run(capsys, "fractal", *kern, "--theta-min", repr(math.radians(0.006)),
+                         "--theta-max", repr(math.radians(0.6)))
+    code, out_deg, _ = _run(capsys, "fractal", *kern, "--theta-min", "0.006",
+                            "--theta-max", "0.6", "--degrees")
+    assert code == 0 and out_deg == out_rad
 
 
 def test_eval_grid(capsys):
@@ -206,6 +216,9 @@ def test_exit_code_usage_errors():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--kernel", "cosine"])  # neither --theta nor --grid
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["gram", "--kernel", "cosine", "--degrees"])  # gram takes no angles
     assert exc.value.code == 2
 
 

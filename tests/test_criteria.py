@@ -90,6 +90,19 @@ def test_2n1_askey_tau5_order3_yes():
     assert report.satisfied == "YES"
 
 
+@pytest.mark.parametrize(
+    "check",
+    [polya_circle, lambda k, grid_size: polya_s3(k, grid_size=grid_size),
+     lambda k, grid_size: polya_2n1(k, 1, grid_size=grid_size)],
+    ids=["polya_circle", "polya_s3", "polya_2n1"],
+)
+@pytest.mark.parametrize("grid_size", [0, 1, 2])
+def test_checkers_need_three_grid_points(check, grid_size):
+    # powered_exponential alpha = 2 is positive definite on no sphere
+    with pytest.raises(DomainError, match="grid_size"):
+        check(kernel("powered_exponential", c=1.0, alpha=2.0), grid_size=grid_size)
+
+
 def test_2n1_rejects_order_beyond_proven_range():
     with pytest.raises(DomainError, match="open"):
         polya_2n1(kernel("askey", c=1.0, tau=5.0), 4)

@@ -235,5 +235,6 @@ def test_gauss_legendre_quartic():
 
 
 def test_gauss_legendre_rejects_bad_order():
-    with pytest.raises(DomainError):
-        gauss_legendre(0)
+    for m in (0, 2.5, float("nan")):
+        with pytest.raises(DomainError):
+            gauss_legendre(m)
