@@ -42,7 +42,6 @@ from .schoenberg import (
     MembershipVerdict,
     SchoenbergSequence,
     StrictnessEvidence,
-    coeffs_d5_from_d1,
     fourier_coeffs,
     gegenbauer_coeffs,
     legendre_from_fourier,

@@ -21,6 +21,7 @@ import scipy.linalg
 
 from . import catalog
 from .errors import DomainError, FactorizationError, ParameterError
+from .special import _check_count
 from .sphere import SpherePointSet, _gram_matrix, _unit_norms, pairwise_angles
 
 __all__ = [
@@ -125,8 +126,7 @@ def simulate(
         raise ParameterError(
             f"kernel {spec} is not valid on S^{pts.d}: {verdict.reason} (rule: {verdict.rule})"
         )
-    if not n_samples >= 1:
-        raise DomainError("need n_samples >= 1")
+    n_samples = _check_count("n_samples", n_samples, 1)
     L, jitter = _chol_with_jitter(_gram_matrix(spec, pts))
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, pts.n_points))
@@ -143,8 +143,7 @@ def estimate_fractal_index(
     """
     if not 0 < theta_min < theta_max <= 0.1:
         raise DomainError("need 0 < theta_min < theta_max <= 0.1")
-    if not n_grid >= 2:
-        raise DomainError("need at least two grid points")
+    n_grid = _check_count("n_grid", n_grid, 2)
     psi, _ = catalog.as_psi(kern)
     theta = np.logspace(math.log10(theta_min), math.log10(theta_max), n_grid)
     drop = 1.0 - psi(theta)

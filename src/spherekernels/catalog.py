@@ -36,7 +36,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, ParameterError, UnknownFamilyError
-from .special import bessel_k
+from .special import _check_count, bessel_k
 
 __all__ = [
     "KernelSpec",
@@ -556,8 +556,8 @@ def validate_params(spec: KernelSpec, d) -> ValidityVerdict:
     ``d`` is a positive integer or ``math.inf``.  Validity is monotone:
     valid on S^d implies valid on every lower-dimensional sphere.
     """
-    if not (d == math.inf or (d >= 1 and float(d).is_integer())):
-        raise DomainError(f"sphere dimension must be a positive integer or inf, got {d}")
+    if d != math.inf:
+        d = _check_count("sphere dimension", d, 1)
     fam = _FAMILIES[spec.family]
     max_d, strict, reason = fam.classify(spec.params)
     valid = d <= max_d
@@ -611,20 +611,24 @@ def evaluate_euclidean(spec: KernelSpec, t):
 
 
 def euclid_derivative(spec: KernelSpec, t, order: int = 1):
-    """Derivative phi^(order)(t) of the Euclidean profile, order in {1, 2, 3}.
+    """Derivative phi^(order)(t) of the Euclidean profile at t > 0, order in {1, 2, 3}.
 
     The first derivative is analytic for every Euclidean family; higher
     orders fall back to differences of the analytic first derivative
     (step 1e-3 * max(1, t), forward near 0) unless the family supplies them;
     for orders that do not exist classically everywhere on (0, inf) see
-    ``max_derivative_order``.
+    ``max_derivative_order``.  t = 0 is outside the domain for every
+    family, since rough profiles have no derivative there.
     """
     fam = _FAMILIES[spec.family]
     if fam.dphi is None:
         raise DomainError(f"{spec.family} has no Euclidean-argument derivative")
-    if order not in (1, 2, 3):
+    order = _check_count("derivative order", order, 1)
+    if order > 3:
         raise DomainError(f"derivative order must be 1, 2 or 3, got {order}")
     arr = _check_distance(t)
+    if not np.all(arr > 0):
+        raise DomainError("the profile derivative is taken at t > 0")
     if fam.dnphi is not None:
         out = fam.dnphi(spec.params, arr, order)
     else:

@@ -121,7 +121,7 @@ def _cmd_walk(args) -> None:
         seq = _sequence_for_args(args, catalog.parse_kernel(args.kernel))
     target = args.to
     while seq.d < target:
-        seq = schoenberg.walk_1_to_3(seq) if seq.d == 1 else schoenberg.walk_d_to_d2(seq)
+        seq = schoenberg.walk_d_to_d2(seq)
     if seq.d != target:
         raise SphereKernelsError(
             f"cannot walk from d={args.dim if not args.coeffs else 'input'} to d={target}: "

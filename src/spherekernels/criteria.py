@@ -36,6 +36,7 @@ import numpy as np
 
 from . import catalog, schoenberg
 from .errors import DomainError
+from .special import _check_count
 
 __all__ = ["CriterionReport", "polya_2n1", "polya_circle", "polya_s3"]
 
@@ -70,11 +71,6 @@ def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray], tol: 
     return np.sort(hard), np.sort(soft)
 
 
-def _check_grid_size(grid_size: int) -> None:
-    if not grid_size >= 3:
-        raise DomainError(f"a convexity check needs grid_size >= 3, got {grid_size}")
-
-
 def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
     if hard.size:
         return "NO"
@@ -85,7 +81,7 @@ def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
 
 def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionReport:
     """Check nonincreasingness, convexity and integral sign of psi on [0, pi]."""
-    _check_grid_size(grid_size)
+    grid_size = _check_count("grid_size", grid_size, 3)
     psi, breaks = catalog.as_psi(kern)
     if not abs(float(psi(np.array([0.0]))[0]) - 1.0) <= 1e-12:
         raise DomainError("candidate must satisfy psi(0) = 1 within 1e-12")
@@ -188,7 +184,7 @@ def polya_s3(
     The decay hypothesis is asymptotic; it is tested as |phi(T)| < 1e-6 at
     T = horizon (default 50 * scale when the spec carries a scale, else 100).
     """
-    _check_grid_size(grid_size)
+    grid_size = _check_count("grid_size", grid_size, 3)
     return _profile_report("polya_s3", kern, dphi, 1, True, grid_size, horizon, tol, {})
 
 
@@ -211,12 +207,13 @@ def polya_2n1(
     spheres up to dimension 2n + 1.  Orders n > 3 are rejected; whether
     the criterion extends to them is an open question.
     """
-    if n not in (1, 2, 3):
+    n = _check_count("order n", n, 1)
+    if n > 3:
         raise DomainError(
             f"order n={n} not supported: the criterion is proven for n <= 3 only "
             "(its extension to larger n is an open conjecture)"
         )
-    _check_grid_size(grid_size)
+    grid_size = _check_count("grid_size", grid_size, 3)
     if isinstance(kern, catalog.KernelSpec) and catalog.max_derivative_order(kern) < n:
         return CriterionReport(
             criterion="polya_2n1",

@@ -18,7 +18,8 @@ edges.  The grading makes the scheme accurate to near machine precision
 even for profiles with a fractional-power singularity at the origin,
 where a single rule would stall at a few digits.
 
-Exact two-index recursions connect dimensions d and d+2 (walks), and a
+One exact two-term recursion connects dimensions d and d+2 for every
+d >= 1 (the walk; two walks from the circle give S^5), and a
 cosine-to-Legendre series connects d = 1 to d = 2.  Verdicts are
 three-tier: FAIL is certified by a robustly negative coefficient, PASS is
 evidence at a declared tail tolerance, and INCONCLUSIVE absorbs the rest;
@@ -36,13 +37,17 @@ import numpy as np
 
 from . import catalog
 from .errors import DimensionMismatchError, DomainError
-from .special import _leggauss_cached, _normalized_rows, gegenbauer_normalized_table
+from .special import (
+    _check_count,
+    _leggauss_cached,
+    _normalized_rows,
+    gegenbauer_normalized_table,
+)
 
 __all__ = [
     "MembershipVerdict",
     "SchoenbergSequence",
     "StrictnessEvidence",
-    "coeffs_d5_from_d1",
     "fourier_coeffs",
     "from_csv",
     "gegenbauer_coeffs",
@@ -70,8 +75,7 @@ class SchoenbergSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        if not self.d >= 1:
-            raise DimensionMismatchError(f"sphere dimension must be >= 1, got {self.d}")
+        object.__setattr__(self, "d", _check_count("d", self.d, 1, DimensionMismatchError))
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise DomainError("coefficient sequence must be a nonempty 1-d array")
 
@@ -164,8 +168,7 @@ def _theta_rule(breaks: Sequence[float], n_max: int) -> tuple[np.ndarray, np.nda
 
 def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule."""
-    if not n_max >= 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    n_max = _check_count("n_max", n_max, 0)
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
     fw = psi(x) * np.sin(x) ** (d - 1) * w
@@ -198,8 +201,7 @@ def fourier_coeffs(kern, n_max: int) -> SchoenbergSequence:
 
 def gegenbauer_coeffs(kern, d: int, n_max: int) -> SchoenbergSequence:
     """Coefficients b_{0,d}..b_{n_max,d} on S^d for d >= 2, by quadrature."""
-    if not d >= 2:
-        raise DimensionMismatchError(f"direct Gegenbauer projection needs d >= 2, got {d}")
+    d = _check_count("d", d, 2, DimensionMismatchError)
     return _project(kern, d, n_max)
 
 
@@ -211,54 +213,28 @@ def walk_1_to_3(seq: SchoenbergSequence) -> SchoenbergSequence:
     """b_{0,3} = b_{0,1} - b_{2,1}/2;  b_{n,3} = (n+1)(b_{n,1} - b_{n+2,1})/2."""
     if seq.d != 1:
         raise DimensionMismatchError(f"walk starts from d=1, got d={seq.d}")
-    if seq.n_max < 2:
-        raise DimensionMismatchError("walk needs at least coefficients up to n=2")
-    b = seq.coeffs
-    n_out = seq.n_max - 2
-    out = np.empty(n_out + 1)
-    out[0] = b[0] - 0.5 * b[2]
-    n = np.arange(1, n_out + 1)
-    out[1:] = 0.5 * (n + 1) * (b[1:n_out + 1] - b[3:n_out + 3])
-    return SchoenbergSequence(3, out, seq.quadrature_order, source="recursion")
+    return walk_d_to_d2(seq)
 
 
 def walk_d_to_d2(seq: SchoenbergSequence) -> SchoenbergSequence:
-    """Two-term recursion sending a d-sequence to the (d+2)-sequence, d >= 2."""
-    if seq.d < 2:
-        raise DimensionMismatchError(f"this walk needs d >= 2, got d={seq.d} (use walk_1_to_3)")
+    """Two-term recursion sending a d-sequence to the (d+2)-sequence, for every d >= 1:
+
+        b_{n,d+2} = (n+d-1)(n+d)/(d(2n+d-1)) b_{n,d} - (n+1)(n+2)/(d(2n+d+3)) b_{n+2,d}.
+
+    Row 0 is written as b_{0,d} - 2/(d(d+3)) b_{2,d}: for d >= 2 that is the
+    general row bit for bit, and at d = 1, where the general row reads 0/0,
+    it is the row's limit.
+    """
     if seq.n_max < 2:
         raise DimensionMismatchError("walk needs at least coefficients up to n=2")
     b, d = seq.coeffs, seq.d
     n_out = seq.n_max - 2
-    n = np.arange(n_out + 1)
-    out = (n + d - 1) * (n + d) / (d * (2 * n + d - 1)) * b[: n_out + 1] - (n + 1) * (n + 2) / (
-        d * (2 * n + d + 3)
-    ) * b[2 : n_out + 3]
+    n = np.arange(1, n_out + 1)
+    out = np.empty(n_out + 1)
+    out[0] = b[0] - 2 / (d * (d + 3)) * b[2]
+    out[1:] = (n + d - 1) * (n + d) / (d * (2 * n + d - 1)) * b[1 : n_out + 1]
+    out[1:] -= (n + 1) * (n + 2) / (d * (2 * n + d + 3)) * b[3 : n_out + 3]
     return SchoenbergSequence(d + 2, out, seq.quadrature_order, source="recursion")
-
-
-def coeffs_d5_from_d1(seq: SchoenbergSequence) -> SchoenbergSequence:
-    """Closed two-step formula for b_{n,5} from the cosine coefficients."""
-    if seq.d != 1:
-        raise DimensionMismatchError(f"input must have d=1, got d={seq.d}")
-    if seq.n_max < 4:
-        raise DimensionMismatchError("needs coefficients up to n=4")
-    b = seq.coeffs
-    bstar = b.copy()
-    bstar[0] *= 2.0
-    n_out = seq.n_max - 4
-    n = np.arange(n_out + 1)
-    out = (
-        (n + 2)
-        * (n + 3)
-        / 12.0
-        * (
-            bstar[: n_out + 1]
-            - 2.0 * (n + 2) / (n + 3) * b[2 : n_out + 3]
-            + (n + 1) / (n + 3) * b[4 : n_out + 5]
-        )
-    )
-    return SchoenbergSequence(5, out, seq.quadrature_order, source="recursion")
 
 
 def _legendre_series_weights(n: int, k_tail: int) -> np.ndarray:
@@ -289,6 +265,8 @@ def legendre_from_fourier(
     """
     if seq.d != 1:
         raise DimensionMismatchError(f"input must have d=1, got d={seq.d}")
+    n_out = _check_count("n_out", n_out, 0)
+    k_tail = _check_count("k_tail", k_tail, 0)
     if not seq.n_max >= n_out + 2 * k_tail + 2:
         raise DimensionMismatchError(
             f"need cosine coefficients up to n={n_out + 2 * k_tail + 2}, have {seq.n_max}"
@@ -325,6 +303,7 @@ def strictness_evidence(
     """Report strictly positive coefficient counts (and, for d = 1, the
     arithmetic-progression condition).  Evidence within the truncation
     window only, never a proof."""
+    progression_n_max = _check_count("progression_n_max", progression_n_max, 1)
     b = seq.coeffs
     pos = np.flatnonzero(b > tol)
     even = pos[pos % 2 == 0]
@@ -374,12 +353,10 @@ def membership(
     read from the S^3 coefficients through b_{0,3} = b_{0,1} - b_{2,1}/2 and
     b_{n,3} = (n+1)(b_{n,1} - b_{n+2,1})/2 with a cosine-side slack of 1e-12.
     """
-    if not d >= 1:
-        raise DimensionMismatchError(f"sphere dimension must be >= 1, got {d}")
+    d = _check_count("d", d, 1, DimensionMismatchError)
     if n_max is None:
         n_max = 200 if d <= 3 else 100
-    if not n_max >= 10:
-        raise DomainError(f"membership needs n_max >= 10, got {n_max}")
+    n_max = _check_count("n_max", n_max, 10)
     seq = fourier_coeffs(kern, n_max) if d == 1 else gegenbauer_coeffs(kern, d, n_max)
     b = seq.coeffs
     min_index = int(np.argmin(b))

@@ -12,11 +12,14 @@ R_{n+1} = 2 x R_n - R_{n-1}, so R_n(cos theta) = cos(n theta) is the
 cosine basis of the circle.  The classical C_n^lambda is R_n scaled by
 C_n^lambda(1) (taken as 1 at lambda = 0), and the Legendre polynomials
 are the lambda = 1/2 case.  The (n + 1) x len(x) table is built from the stream.
+
+Every integer count in the package (degrees, orders, dimensions, sizes)
+passes one gate, ``_check_count``: an integer >= its floor, where an
+integral float such as 3.0 counts and NaN, inf and 2.5 do not.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -63,29 +66,42 @@ def _leggauss_cached(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _check_count(name: str, value, lo: int, error: type[Exception] = DomainError) -> int:
+    """The count gate: ``value`` as an int when it is an integer >= lo; NaN, inf and 2.5 fail.
+
+    An integral float (3.0) or a numpy integer passes.  ``error`` is the
+    exception raised otherwise; sphere dimensions of coefficient sequences
+    use DimensionMismatchError.
+    """
+    if not (value >= lo and float(value).is_integer()):
+        raise error(f"{name} must be an integer >= {lo}, got {value}")
+    return int(value)
+
+
 def gauss_legendre(m: int) -> QuadratureRule:
     """Return the m-point Gauss-Legendre rule on [-1, 1]."""
-    if not (m >= 1 and float(m).is_integer()):
-        raise DomainError(f"quadrature order must be an integer >= 1, got {m}")
-    x, w = _leggauss_cached(int(m))
-    return QuadratureRule(nodes=x, weights=w, order=int(m))
+    m = _check_count("quadrature order", m, 1)
+    x, w = _leggauss_cached(m)
+    return QuadratureRule(nodes=x, weights=w, order=m)
 
 
-def _check_poly_args(n: int, lam: float, x) -> np.ndarray:
-    """The basis-argument gate: n, lam >= 0 and x in [-1, 1] within 1e-12, clipped; NaN fails."""
-    if not n >= 0:
-        raise DomainError(f"polynomial degree must be >= 0, got {n}")
+def _check_poly_args(n: int, lam: float, x) -> tuple[int, np.ndarray]:
+    """The basis-argument gate: n a count, lam >= 0 and x in [-1, 1] within 1e-12, clipped.
+
+    Returns n as an int and the clipped x; NaN fails.
+    """
+    n = _check_count("polynomial degree", n, 0)
     if not lam >= 0:
         raise DomainError(f"Gegenbauer parameter must be >= 0, got {lam}")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) <= 1.0 + 1e-12):
         raise DomainError("Gegenbauer argument must lie in [-1, 1]")
-    return np.clip(arr, -1.0, 1.0)
+    return n, np.clip(arr, -1.0, 1.0)
 
 
 def gegenbauer_one(n: int, lam: float) -> float:
     """C_n^lam(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam)); equals 1 when lam = 0."""
-    _check_poly_args(n, lam, 1.0)
+    n, _ = _check_poly_args(n, lam, 1.0)
     if lam == 0.0:
         return 1.0
     value = 1.0
@@ -109,7 +125,7 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
 
     At lam = 0 the rows are the Chebyshev polynomials, cos(n arccos x).
     """
-    arr = _check_poly_args(n_max, lam, x)
+    n_max, arr = _check_poly_args(n_max, lam, x)
     table = np.empty((n_max + 1, arr.size))
     for k, row in enumerate(_normalized_rows(n_max, lam, arr)):
         table[k] = row
@@ -118,7 +134,7 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
 
 def gegenbauer_normalized(n: int, lam: float, x):
     """Evaluate C_n^lam(x) / C_n^lam(1), keeping two rows of the recurrence."""
-    arr = _check_poly_args(n, lam, x)
+    n, arr = _check_poly_args(n, lam, x)
     for out in _normalized_rows(n, lam, arr):
         pass
     return float(out) if arr.ndim == 0 else out
@@ -154,29 +170,4 @@ def bessel_k(nu: float, t):
     out = _sp.kv(nu, arr)
     if not np.all(np.isfinite(out)):
         raise OverflowError(f"K_{nu} overflowed at t={arr[~np.isfinite(out)][:3]}")
-    return float(out) if arr.ndim == 0 else out
-
-
-def gegenbauer_connection(n: int, lam: float, nu: float, x):
-    """Expand C_n^lam in the C^nu basis: the classical Gegenbauer connection sum.
-
-    Valid for lam > nu >= 0; used as a cross-check of the recurrence and of
-    strict-positivity arguments (the connection coefficients are positive).
-    """
-    if not lam > nu >= 0:
-        raise DomainError("connection formula requires lam > nu >= 0")
-    if nu == 0.0:
-        raise DomainError("nu = 0 limit not supported by the connection sum")
-    pref = math.gamma(nu) / (math.gamma(lam) * math.gamma(lam - nu))
-    arr = np.asarray(x, dtype=float)
-    total = np.zeros_like(arr)
-    for k in range(n // 2 + 1):
-        coeff = (
-            (n - 2 * k + nu)
-            * math.gamma(k + lam - nu)
-            * math.gamma(n - k + lam)
-            / (math.factorial(k) * math.gamma(n - k + nu + 1))
-        )
-        total += coeff * gegenbauer(n - 2 * k, nu, arr)
-    out = pref * total
     return float(out) if arr.ndim == 0 else out

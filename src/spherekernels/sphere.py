@@ -19,6 +19,7 @@ from scipy.spatial.distance import cdist
 
 from . import catalog
 from .errors import DomainError
+from .special import _check_count
 
 __all__ = [
     "GramReport",
@@ -114,10 +115,8 @@ def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> 
     ``fibonacci_s2`` (quasi-uniform lattice, d = 2 only) and ``equator``
     (n equally spaced points on a great circle, any d).
     """
-    if not n >= 1:
-        raise DomainError(f"need n >= 1 points, got {n}")
-    if not d >= 1:
-        raise DomainError(f"sphere dimension must be >= 1, got {d}")
+    n = _check_count("number of points n", n, 1)
+    d = _check_count("sphere dimension d", d, 1)
     if scheme == "uniform_random":
         rng = np.random.default_rng(seed)
         vecs = rng.standard_normal((n, d + 1))

@@ -1,8 +1,11 @@
-"""Shared parameter tables for the test suites."""
+"""Shared parameter tables and oracles for the test suites."""
 
 import math
 
+import numpy as np
+
 from spherekernels import kernel
+from spherekernels.special import gegenbauer
 
 # One spec per family at catalog defaults.
 DEFAULT_SPECS = [kernel(name) for name in (
@@ -91,3 +94,24 @@ IN_RANGE_POINTS = {
     ],
     "cosine": [{}],
 }
+
+
+def gegenbauer_connection(n, lam, nu, x):
+    """Expand C_n^lam in the C^nu basis: the classical Gegenbauer connection sum.
+
+    Valid for lam > nu > 0; an oracle for the recurrence (the connection
+    coefficients are positive, which is the strict-positivity argument).
+    """
+    assert lam > nu > 0, "connection sum needs lam > nu > 0"
+    pref = math.gamma(nu) / (math.gamma(lam) * math.gamma(lam - nu))
+    arr = np.asarray(x, dtype=float)
+    total = np.zeros_like(arr)
+    for k in range(n // 2 + 1):
+        coeff = (
+            (n - 2 * k + nu)
+            * math.gamma(k + lam - nu)
+            * math.gamma(n - k + lam)
+            / (math.factorial(k) * math.gamma(n - k + nu + 1))
+        )
+        total += coeff * gegenbauer(n - 2 * k, nu, arr)
+    return pref * total

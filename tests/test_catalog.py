@@ -1,6 +1,8 @@
 """Kernel family closed forms, validation and the chordal substitution."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +10,15 @@ from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
 
 from spherekernels import (
     KernelSpec,
+    SchoenbergSequence,
     bessel_k,
     estimate_fractal_index,
     evaluate,
     evaluate_euclidean,
     fourier_coeffs,
     fractal_index_theoretical,
+    gauss_legendre,
+    gegenbauer,
     gegenbauer_coeffs,
     gegenbauer_normalized,
     gram_report,
@@ -21,16 +26,25 @@ from spherekernels import (
     interpolate_eval,
     interpolate_fit,
     kernel,
+    legendre,
+    legendre_from_fourier,
     localization_compare,
+    membership,
     parse_kernel,
+    polya_2n1,
     polya_circle,
+    polya_s3,
     reconstruct,
     sample_points,
+    simulate,
+    strictness_evidence,
     validate_params,
     yadrenko,
 )
 from spherekernels.catalog import breakpoints, euclid_derivative
+from spherekernels.special import gegenbauer_normalized_table, gegenbauer_one
 from spherekernels.errors import (
+    DimensionMismatchError,
     DomainError,
     ParameterError,
     UnknownFamilyError,
@@ -308,6 +322,106 @@ def _interpolant():
 def test_input_outside_its_domain_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
+
+
+_ASKEY5 = kernel("askey", c=1.0, tau=5.0)
+_SEQ = fourier_coeffs(_MATERN, 30)
+
+# Every integer count in the API: the call with the count as its one
+# argument, an integer value it accepts, and the error for a non-integer.
+_COUNTS = {
+    "fourier_coeffs-n_max": (lambda v: fourier_coeffs(_MATERN, v), 3, DomainError),
+    "gegenbauer_coeffs-d": (lambda v: gegenbauer_coeffs(_MATERN, v, 5), 3, DimensionMismatchError),
+    "gegenbauer_coeffs-n_max": (lambda v: gegenbauer_coeffs(_MATERN, 2, v), 3, DomainError),
+    "membership-d": (lambda v: membership(_MATERN, v, 20), 3, DimensionMismatchError),
+    "membership-n_max": (lambda v: membership(_MATERN, 2, v), 50, DomainError),
+    "SchoenbergSequence-d": (
+        lambda v: SchoenbergSequence(v, [1.0], 0, "x"), 3, DimensionMismatchError
+    ),
+    "legendre_from_fourier-n_out": (lambda v: legendre_from_fourier(_SEQ, v, 5), 3, DomainError),
+    "legendre_from_fourier-k_tail": (lambda v: legendre_from_fourier(_SEQ, 3, v), 3, DomainError),
+    "strictness_evidence-progression_n_max": (
+        lambda v: strictness_evidence(_SEQ, progression_n_max=v), 3, DomainError
+    ),
+    "gegenbauer_one-n": (lambda v: gegenbauer_one(v, 1.5), 3, DomainError),
+    "gegenbauer-n": (lambda v: gegenbauer(v, 1.5, 0.3), 3, DomainError),
+    "gegenbauer_normalized-n": (lambda v: gegenbauer_normalized(v, 0.5, 0.3), 3, DomainError),
+    "gegenbauer_normalized_table-n_max": (
+        lambda v: gegenbauer_normalized_table(v, 0.5, [0.3, 0.6]), 3, DomainError
+    ),
+    "legendre-n": (lambda v: legendre(v, 0.3), 3, DomainError),
+    "gauss_legendre-m": (gauss_legendre, 3, DomainError),
+    "validate_params-d": (lambda v: validate_params(_MATERN, v), 3, DomainError),
+    "euclid_derivative-order": (lambda v: euclid_derivative(_ASKEY5, 0.5, v), 3, DomainError),
+    "polya_circle-grid_size": (lambda v: polya_circle(_MATERN, grid_size=v), 3, DomainError),
+    "polya_s3-grid_size": (lambda v: polya_s3(_MATERN, grid_size=v), 3, DomainError),
+    "polya_2n1-grid_size": (lambda v: polya_2n1(_MATERN, 1, grid_size=v), 3, DomainError),
+    "polya_2n1-order": (lambda v: polya_2n1(_ASKEY5, v, grid_size=16), 3, DomainError),
+    "simulate-n_samples": (
+        lambda v: simulate(_MATERN, sample_points(2, 5, seed=0), v, seed=0), 3, DomainError
+    ),
+    "estimate_fractal_index-n_grid": (
+        lambda v: estimate_fractal_index(_MATERN, n_grid=v), 3, DomainError
+    ),
+    "sample_points-n": (lambda v: sample_points(2, v, seed=0), 3, DomainError),
+    "sample_points-d": (lambda v: sample_points(v, 5, seed=0), 3, DomainError),
+}
+
+# A non-integer above the floor (so that only the integer test rejects it),
+# NaN and inf; inf is a valid dimension for validate_params, so -inf there.
+_NON_COUNTS = [
+    (name, bad)
+    for name, (_, good, _) in _COUNTS.items()
+    for bad in (good + 0.5, _NAN, -math.inf if name == "validate_params-d" else math.inf)
+]
+
+
+@pytest.mark.parametrize("name,bad", _NON_COUNTS, ids=[f"{n}-{b}" for n, b in _NON_COUNTS])
+def test_non_integer_count_is_rejected(name, bad):
+    call, _, error = _COUNTS[name]
+    with pytest.raises(error):
+        call(bad)
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, arrays byte for byte, dataclasses field by field."""
+    if type(a) is not type(b):
+        return False
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a == b or (a != a and b != b)
+
+
+@pytest.mark.parametrize("name", _COUNTS)
+@pytest.mark.parametrize("kind", [float, np.int64])
+def test_integral_count_of_any_type_is_the_integer(name, kind):
+    call, good, _ = _COUNTS[name]
+    assert _same(call(kind(good)), call(good))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        kernel("dagum", c=1.0, tau=1.0, alpha=0.5),
+        kernel("powered_exponential", c=1.0, alpha=0.5),
+        kernel("generalized_cauchy", c=1.0, alpha=0.5, tau=1.0),
+        kernel("matern", c=1.0, nu=0.3),
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_derivative_at_zero_is_a_domain_error(spec, order):
+    # rough profiles have no derivative at 0; no family answers -inf or a floor value there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            euclid_derivative(spec, 0.0, order)
 
 
 def test_angle_gate_allows_the_same_slack_everywhere():

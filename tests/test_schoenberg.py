@@ -7,6 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 from conftest import DEFAULT_SPECS, IN_RANGE_POINTS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherekernels import catalog, kernel
 from spherekernels.errors import DimensionMismatchError, DomainError
@@ -14,7 +16,6 @@ from spherekernels.schoenberg import (
     SchoenbergSequence,
     _gegenbauer_scale,
     _theta_rule,
-    coeffs_d5_from_d1,
     fourier_coeffs,
     from_csv,
     gegenbauer_coeffs,
@@ -192,17 +193,9 @@ def test_walk_2_to_4_matches_direct_quadrature_multiquadric():
 
 def test_coeffs_d5_trivial_sequences():
     cos_seq = SchoenbergSequence(1, np.eye(8)[1], 0, "analytic")
-    assert np.allclose(coeffs_d5_from_d1(cos_seq).coeffs, np.eye(4)[1], atol=0)
+    assert np.allclose(walk_d_to_d2(walk_1_to_3(cos_seq)).coeffs, np.eye(4)[1], atol=0)
     const = SchoenbergSequence(1, np.eye(8)[0], 0, "analytic")
-    assert np.allclose(coeffs_d5_from_d1(const).coeffs, np.eye(4)[0], atol=0)
-
-
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
-def test_coeffs_d5_matches_two_step_walk(spec):
-    d1 = fourier_coeffs(spec, 54)
-    direct5 = coeffs_d5_from_d1(d1)
-    stepped = walk_d_to_d2(walk_1_to_3(d1))
-    assert np.max(np.abs(direct5.coeffs - stepped.coeffs)) < 1e-10
+    assert np.allclose(walk_d_to_d2(walk_1_to_3(const)).coeffs, np.eye(4)[0], atol=0)
 
 
 def test_walk_dimension_mismatches():
@@ -210,10 +203,38 @@ def test_walk_dimension_mismatches():
     with pytest.raises(DimensionMismatchError):
         walk_1_to_3(seq3)
     seq1 = SchoenbergSequence(1, [1.0, 0, 0, 0], 0, "analytic")
-    with pytest.raises(DimensionMismatchError):
-        walk_d_to_d2(seq1)
-    with pytest.raises(DimensionMismatchError):
-        coeffs_d5_from_d1(SchoenbergSequence(1, [1.0, 0, 0], 0, "analytic"))
+    assert walk_d_to_d2(seq1).d == 3
+    assert np.array_equal(walk_d_to_d2(seq1).coeffs, walk_1_to_3(seq1).coeffs)
+
+
+def _reference_walk(b, d):
+    """The walk as two formulas: the general row for d >= 2, the circle's own at d = 1."""
+    n_out = b.size - 3
+    if d == 1:
+        out = np.empty(n_out + 1)
+        out[0] = b[0] - 0.5 * b[2]
+        n = np.arange(1, n_out + 1)
+        out[1:] = 0.5 * (n + 1) * (b[1 : n_out + 1] - b[3 : n_out + 3])
+        return out
+    n = np.arange(n_out + 1)
+    return (n + d - 1) * (n + d) / (d * (2 * n + d - 1)) * b[: n_out + 1] - (n + 1) * (n + 2) / (
+        d * (2 * n + d + 3)
+    ) * b[2 : n_out + 3]
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=60), st.integers(1, 7))
+def test_one_walk_for_every_dimension(values, d):
+    # d >= 2: the general row bit for bit; d = 1: the circle's formula up to rounding
+    b = np.array(values)
+    walked = walk_d_to_d2(SchoenbergSequence(d, b, 0, "analytic")).coeffs
+    reference = _reference_walk(b, d)
+    if d >= 2:
+        assert walked.tobytes() == reference.tobytes()
+    else:
+        n = np.arange(walked.size)
+        bound = 4.0 * np.finfo(float).eps * (n + 1) * np.abs(b).max()
+        assert np.all(np.abs(walked - reference) <= bound)
 
 
 # ---------------------------------------------------------------------------

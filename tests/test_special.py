@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import gegenbauer_connection
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,6 @@ from spherekernels.special import (
     bessel_k,
     gauss_legendre,
     gegenbauer,
-    gegenbauer_connection,
     gegenbauer_normalized,
     gegenbauer_normalized_table,
     gegenbauer_one,
