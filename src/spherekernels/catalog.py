@@ -664,15 +664,12 @@ def _derivative_from_first(d1: Callable[[np.ndarray], np.ndarray], t: np.ndarray
 def yadrenko(spec: KernelSpec, theta):
     """Evaluate phi(2 sin(theta/2)): the chordal-distance substitution.
 
-    Maps a kernel on R^3 to a kernel on S^2 (and lower spheres); the
-    result never drops below about -0.2127 for any valid profile on R^3.
+    It is ``evaluate_euclidean`` at the chord 2 sin(theta/2), after the
+    angle gate.  Maps a kernel on R^3 to a kernel on S^2 (and lower
+    spheres); the result never drops below about -0.2127 for any valid
+    profile on R^3.
     """
-    fam = _FAMILIES[spec.family]
-    if fam.dphi is None:
-        raise DomainError(f"{spec.family} has no Euclidean-argument profile")
-    arr = _check_theta(theta)
-    out = fam.psi(spec.params, 2.0 * np.sin(arr / 2.0))
-    return float(out) if arr.ndim == 0 else out
+    return evaluate_euclidean(spec, 2.0 * np.sin(_check_theta(theta) / 2.0))
 
 
 def fractal_index_theoretical(spec: KernelSpec) -> float | None:

@@ -7,13 +7,19 @@ Angles are radians.  The four verbs with angular inputs (``eval``,
 ``reconstruct``, ``localize`` and ``fractal``) take ``--degrees``, which
 converts ``--theta``, ``--grid``, ``--c``, ``--theta-min`` and
 ``--theta-max``; the other verbs reject it as a usage error.
+
+Every verb is declared by one builder, ``_verb``, which puts ``--kernel``,
+``--format`` and ``--degrees`` around the verb's own flags.  ``main``
+parses ``--kernel`` once, before dispatch, and hands the spec to the
+verb; the parse runs inside the same error handler as the verb, so a bad
+kernel still exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
 import math
 import sys
@@ -46,6 +52,13 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _thetas(args) -> np.ndarray:
+    """The angles of ``--theta`` or ``--grid``, in radians."""
+    if args.theta is not None:
+        return np.array([_angle(args.theta, args.degrees)])
+    return _parse_grid(args.grid, args.degrees)
+
+
 def _emit(table: list[dict], fmt: str) -> None:
     if fmt == "json":
         json.dump(table, sys.stdout, indent=2, default=str)
@@ -58,24 +71,24 @@ def _emit(table: list[dict], fmt: str) -> None:
     writer.writerows(table)
 
 
+def _note_jitter(jitter_used: float) -> None:
+    if jitter_used:
+        print(f"jitter used: {jitter_used:g}", file=sys.stderr)
+
+
 def _points_from_args(args) -> sphere.SpherePointSet:
-    if getattr(args, "points", None):
+    if args.points:
         pts, _ = sphere.read_points(args.points)
         return pts
     return sphere.sample_points(args.dim, args.n_points, scheme=args.scheme, seed=args.seed)
 
 
-def _cmd_list(args) -> None:
+def _cmd_list(args, spec) -> None:
     _emit(catalog.list_families(), args.format)
 
 
-def _cmd_eval(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
-    thetas = (
-        np.array([_angle(args.theta, args.degrees)])
-        if args.theta is not None
-        else _parse_grid(args.grid, args.degrees)
-    )
+def _cmd_eval(args, spec) -> None:
+    thetas = _thetas(args)
     values = catalog.evaluate(spec, thetas)
     _emit(
         [{"theta_rad": _fmt(t), "value": _fmt(v)} for t, v in zip(thetas, values)],
@@ -104,34 +117,28 @@ def _emit_sequence(seq: schoenberg.SchoenbergSequence, fmt: str) -> None:
         )
         sys.stdout.write("\n")
         return
-    buf = io.StringIO()
-    schoenberg.to_csv(seq, buf)
-    sys.stdout.write(buf.getvalue())
+    schoenberg.to_csv(seq, sys.stdout)
 
 
-def _cmd_coeffs(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
+def _cmd_coeffs(args, spec) -> None:
     _emit_sequence(_sequence_for_args(args, spec), args.format)
 
 
-def _cmd_walk(args) -> None:
-    if args.coeffs:
-        seq = schoenberg.from_csv(args.coeffs)
-    else:
-        seq = _sequence_for_args(args, catalog.parse_kernel(args.kernel))
+def _cmd_walk(args, spec) -> None:
+    seq = schoenberg.from_csv(args.coeffs) if spec is None else _sequence_for_args(args, spec)
+    source_d = seq.d
     target = args.to
     while seq.d < target:
         seq = schoenberg.walk_d_to_d2(seq)
     if seq.d != target:
         raise SphereKernelsError(
-            f"cannot walk from d={args.dim if not args.coeffs else 'input'} to d={target}: "
+            f"cannot walk from d={source_d} to d={target}: "
             "walks step by +2 (1 -> 3 -> 5 ... or 2 -> 4 -> ...)"
         )
     _emit_sequence(seq, args.format)
 
 
-def _cmd_member(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
+def _cmd_member(args, spec) -> None:
     verdict = schoenberg.membership(
         spec,
         args.dim,
@@ -154,8 +161,7 @@ def _cmd_member(args) -> None:
     _emit([row], args.format)
 
 
-def _cmd_criteria(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
+def _cmd_criteria(args, spec) -> None:
     if args.criterion == "polya_circle":
         report = criteria.polya_circle(spec)
     elif args.criterion == "polya_s3":
@@ -172,8 +178,7 @@ def _cmd_criteria(args) -> None:
     _emit([row], args.format)
 
 
-def _cmd_gram(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
+def _cmd_gram(args, spec) -> None:
     pts = _points_from_args(args)
     report = sphere.gram_report(spec, pts, tol=args.tol)
     row = {
@@ -186,30 +191,26 @@ def _cmd_gram(args) -> None:
     _emit([row], args.format)
 
 
-def _cmd_interp(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
+def _cmd_interp(args, spec) -> None:
     nodes, values = sphere.read_points(args.points)
     if values is None:
         raise SphereKernelsError(f"point file {args.points} needs a trailing 'value' column")
     interp = apps.interpolate_fit(spec, nodes, values, ridge=args.ridge)
-    if interp.jitter_used:
-        print(f"jitter used: {interp.jitter_used:g}", file=sys.stderr)
+    _note_jitter(interp.jitter_used)
     targets = sphere.read_points(args.eval_points)[0] if args.eval_points else nodes
     preds = apps.interpolate_eval(interp, targets.points)
     rows = []
-    for p, v in zip(targets.points, np.atleast_1d(preds)):
+    for p, v in zip(targets.points, preds):
         row = {f"x{i}": _fmt(c) for i, c in enumerate(p)}
         row["prediction"] = _fmt(v)
         rows.append(row)
     _emit(rows, args.format)
 
 
-def _cmd_simulate(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
+def _cmd_simulate(args, spec) -> None:
     pts = _points_from_args(args)
     sample = apps.simulate(spec, pts, args.samples, seed=args.seed)
-    if sample.jitter_used:
-        print(f"jitter used: {sample.jitter_used:g}", file=sys.stderr)
+    _note_jitter(sample.jitter_used)
     rows = []
     for i, draw in enumerate(sample.values):
         row = {"draw": i}
@@ -218,8 +219,7 @@ def _cmd_simulate(args) -> None:
     _emit(rows, args.format)
 
 
-def _cmd_fractal(args) -> None:
-    spec = catalog.parse_kernel(args.kernel)
+def _cmd_fractal(args, spec) -> None:
     estimate = apps.estimate_fractal_index(
         spec,
         theta_min=_angle(args.theta_min, args.degrees),
@@ -238,7 +238,7 @@ def _cmd_fractal(args) -> None:
     )
 
 
-def _cmd_localize(args) -> None:
+def _cmd_localize(args, spec) -> None:
     c = _angle(args.c, args.degrees)
     grid = _parse_grid(args.grid, args.degrees) if args.grid else np.linspace(0.0, math.pi, 361)
     table = apps.localization_compare(c, grid)
@@ -251,24 +251,35 @@ def _cmd_localize(args) -> None:
     )
 
 
-def _cmd_reconstruct(args) -> None:
+def _cmd_reconstruct(args, spec) -> None:
     seq = schoenberg.from_csv(args.coeffs)
-    thetas = (
-        np.array([_angle(args.theta, args.degrees)])
-        if args.theta is not None
-        else _parse_grid(args.grid, args.degrees)
-    )
+    thetas = _thetas(args)
     values = schoenberg.reconstruct(seq, thetas)
     _emit(
-        [{"theta_rad": _fmt(t), "value": _fmt(v)} for t, v in zip(thetas, np.atleast_1d(values))],
+        [{"theta_rad": _fmt(t), "value": _fmt(v)} for t, v in zip(thetas, values)],
         args.format,
     )
 
 
-def _add_common(p: argparse.ArgumentParser, angles: bool = False) -> None:
+@contextlib.contextmanager
+def _verb(sub, name: str, summary: str, func, kernel: bool = True, angles: bool = False):
+    """Declare one verb: ``--kernel`` (required when ``kernel``), the flags
+    added inside the ``with`` block, ``--format``, and ``--degrees`` when
+    the verb takes ``angles``.  A verb without ``--kernel`` reads kernel=None."""
+    p = sub.add_parser(name, help=summary)
+    if kernel:
+        p.add_argument("--kernel", required=True)
+    yield p
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     if angles:
         p.add_argument("--degrees", action="store_true", help="angular inputs are degrees")
+    p.set_defaults(func=func, kernel=None)
+
+
+def _add_theta_or_grid(p: argparse.ArgumentParser) -> None:
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--theta", type=float)
+    g.add_argument("--grid", help="start:stop:count")
 
 
 def _add_pointset_args(p: argparse.ArgumentParser) -> None:
@@ -288,106 +299,76 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("list", help="catalog of families and parameter ranges")
-    _add_common(p)
-    p.set_defaults(func=_cmd_list)
+    with _verb(sub, "list", "catalog of families and parameter ranges", _cmd_list, kernel=False):
+        pass
 
-    p = sub.add_parser("eval", help="evaluate a kernel at angles")
-    p.add_argument("--kernel", required=True)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--theta", type=float)
-    g.add_argument("--grid", help="start:stop:count")
-    _add_common(p, angles=True)
-    p.set_defaults(func=_cmd_eval)
+    with _verb(sub, "eval", "evaluate a kernel at angles", _cmd_eval, angles=True) as p:
+        _add_theta_or_grid(p)
 
-    p = sub.add_parser("coeffs", help="coefficient sequence on S^d")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--n", type=int, default=100)
-    _add_common(p)
-    p.set_defaults(func=_cmd_coeffs)
+    with _verb(sub, "coeffs", "coefficient sequence on S^d", _cmd_coeffs) as p:
+        p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--n", type=int, default=100)
 
-    p = sub.add_parser("walk", help="dimension walk of a coefficient sequence")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--kernel")
-    g.add_argument("--coeffs", help="sequence CSV produced by the coeffs verb")
-    p.add_argument("--dim", type=int, default=1, help="source dimension when using --kernel")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--to", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_walk)
+    with _verb(sub, "walk", "dimension walk of a coefficient sequence", _cmd_walk,
+               kernel=False) as p:
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--kernel")
+        g.add_argument("--coeffs", help="sequence CSV produced by the coeffs verb")
+        p.add_argument("--dim", type=int, default=1, help="source dimension when using --kernel")
+        p.add_argument("--n", type=int, default=100)
+        p.add_argument("--to", type=int, required=True)
 
-    p = sub.add_parser("member", help="membership verdict on S^d")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6, help="negative-coefficient FAIL tolerance")
-    p.add_argument("--tail-tol", type=float, default=1e-3)
-    p.add_argument("--strict", action="store_true", help="also require strictness evidence")
-    _add_common(p)
-    p.set_defaults(func=_cmd_member)
+    with _verb(sub, "member", "membership verdict on S^d", _cmd_member) as p:
+        p.add_argument("--dim", type=int, default=2)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--tol", type=float, default=1e-6,
+                       help="negative-coefficient FAIL tolerance")
+        p.add_argument("--tail-tol", type=float, default=1e-3)
+        p.add_argument("--strict", action="store_true", help="also require strictness evidence")
 
-    p = sub.add_parser("criteria", help="convexity-based sufficient conditions")
-    p.add_argument("--kernel", required=True)
-    p.add_argument(
-        "--criterion", required=True, choices=("polya_circle", "polya_s3", "polya_2n1")
-    )
-    p.add_argument("--order", type=int, default=1, help="derivative order for polya_2n1")
-    _add_common(p)
-    p.set_defaults(func=_cmd_criteria)
+    with _verb(sub, "criteria", "convexity-based sufficient conditions", _cmd_criteria) as p:
+        p.add_argument(
+            "--criterion", required=True, choices=("polya_circle", "polya_s3", "polya_2n1")
+        )
+        p.add_argument("--order", type=int, default=1, help="derivative order for polya_2n1")
 
-    p = sub.add_parser("gram", help="Gram matrix eigenvalue report")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
-    _add_pointset_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_gram)
+    with _verb(sub, "gram", "Gram matrix eigenvalue report", _cmd_gram) as p:
+        p.add_argument("--tol", type=float, default=1e-8)
+        _add_pointset_args(p)
 
-    p = sub.add_parser("interp", help="spherical radial basis interpolation")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--points", required=True, help="node CSV with a trailing value column")
-    p.add_argument("--eval-points", help="CSV of evaluation points (default: the nodes)")
-    p.add_argument("--ridge", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=_cmd_interp)
+    with _verb(sub, "interp", "spherical radial basis interpolation", _cmd_interp) as p:
+        p.add_argument("--points", required=True, help="node CSV with a trailing value column")
+        p.add_argument("--eval-points", help="CSV of evaluation points (default: the nodes)")
+        p.add_argument("--ridge", type=float, default=0.0)
 
-    p = sub.add_parser("simulate", help="Gaussian field draws on a point set")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--samples", type=int, default=10)
-    _add_pointset_args(p)
-    _add_common(p)
-    p.set_defaults(func=_cmd_simulate)
+    with _verb(sub, "simulate", "Gaussian field draws on a point set", _cmd_simulate) as p:
+        p.add_argument("--samples", type=int, default=10)
+        _add_pointset_args(p)
 
-    p = sub.add_parser("fractal", help="fractal index estimate from the short-range decay")
-    p.add_argument("--kernel", required=True)
-    p.add_argument("--theta-min", type=float, default=1e-4)
-    p.add_argument("--theta-max", type=float, default=1e-2)
-    p.add_argument("--n-grid", type=int, default=20)
-    _add_common(p, angles=True)
-    p.set_defaults(func=_cmd_fractal)
+    with _verb(sub, "fractal", "fractal index estimate from the short-range decay", _cmd_fractal,
+               angles=True) as p:
+        p.add_argument("--theta-min", type=float, default=1e-4)
+        p.add_argument("--theta-max", type=float, default=1e-2)
+        p.add_argument("--n-grid", type=int, default=20)
 
-    p = sub.add_parser("localize", help="chordal vs great-circle localization table")
-    p.add_argument("--c", type=float, required=True, help="support scale in (0, pi]")
-    p.add_argument("--grid", help="start:stop:count (default 0:pi:361)")
-    _add_common(p, angles=True)
-    p.set_defaults(func=_cmd_localize)
+    with _verb(sub, "localize", "chordal vs great-circle localization table", _cmd_localize,
+               kernel=False, angles=True) as p:
+        p.add_argument("--c", type=float, required=True, help="support scale in (0, pi]")
+        p.add_argument("--grid", help="start:stop:count (default 0:pi:361)")
 
-    p = sub.add_parser("reconstruct", help="evaluate a saved coefficient sequence")
-    p.add_argument("--coeffs", required=True, help="sequence CSV produced by the coeffs verb")
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--theta", type=float)
-    g.add_argument("--grid", help="start:stop:count")
-    _add_common(p, angles=True)
-    p.set_defaults(func=_cmd_reconstruct)
+    with _verb(sub, "reconstruct", "evaluate a saved coefficient sequence", _cmd_reconstruct,
+               kernel=False, angles=True) as p:
+        p.add_argument("--coeffs", required=True, help="sequence CSV produced by the coeffs verb")
+        _add_theta_or_grid(p)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        spec = None if args.kernel is None else catalog.parse_kernel(args.kernel)
+        args.func(args, spec)
     except (SphereKernelsError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

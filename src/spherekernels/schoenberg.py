@@ -76,6 +76,9 @@ class SchoenbergSequence:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         object.__setattr__(self, "d", _check_count("d", self.d, 1, DimensionMismatchError))
+        object.__setattr__(
+            self, "quadrature_order", _check_count("quadrature_order", self.quadrature_order, 0)
+        )
         if self.coeffs.ndim != 1 or self.coeffs.size == 0:
             raise DomainError("coefficient sequence must be a nonempty 1-d array")
 
@@ -105,7 +108,6 @@ class StrictnessEvidence:
     # d = 1 only: arithmetic-progression condition for 0 <= j < n <= n_max
     progressions_ok: bool | None = None
     failing_progressions: tuple[tuple[int, int], ...] = ()
-    label: str = "EVIDENCE"
 
 
 @dataclass(frozen=True)
@@ -463,13 +465,17 @@ def from_csv(path_or_buf) -> SchoenbergSequence:
     if [n for n, _ in rows] != list(range(len(rows))):
         raise DomainError("coefficient indices must run 0, 1, ..., n_max without gaps or repeats")
     ints = {}
-    for key, default in (("d", "1"), ("quadrature_order", "0")):
+    for key, default in (("d", "1"), ("quadrature_order", "0"), ("n_max", str(len(rows) - 1))):
         try:
             ints[key] = int(meta.get(key, default))
         except ValueError:
             raise DomainError(
                 f"malformed metadata {key}={meta[key]!r}: expected an integer"
             ) from None
+    if ints.pop("n_max") != len(rows) - 1:
+        raise DomainError(
+            f"metadata n_max={meta['n_max']} disagrees with the rows, which run 0..{len(rows) - 1}"
+        )
     return SchoenbergSequence(
         coeffs=np.array([b for _, b in rows]),
         source=meta.get("source", "unknown"),

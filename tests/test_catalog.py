@@ -338,6 +338,9 @@ _COUNTS = {
     "SchoenbergSequence-d": (
         lambda v: SchoenbergSequence(v, [1.0], 0, "x"), 3, DimensionMismatchError
     ),
+    "SchoenbergSequence-quadrature_order": (
+        lambda v: SchoenbergSequence(1, [1.0], v, "x"), 3, DomainError
+    ),
     "legendre_from_fourier-n_out": (lambda v: legendre_from_fourier(_SEQ, v, 5), 3, DomainError),
     "legendre_from_fourier-k_tail": (lambda v: legendre_from_fourier(_SEQ, 3, v), 3, DomainError),
     "strictness_evidence-progression_n_max": (

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +224,23 @@ def test_exit_code_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["gram", "--kernel", "cosine", "--degrees"])  # gram takes no angles
     assert exc.value.code == 2
+
+
+def test_process_exit_codes():
+    # the `sys.exit(main())` wiring, run as a module in a fresh interpreter
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "spherekernels.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    done = run("list")
+    assert done.returncode == 0 and len(done.stdout.splitlines()) == 13
+    done = run("eval", "--kernel", "nosuch", "--theta", "1")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    assert run("gram", "--kernel", "cosine", "--degrees").returncode == 2
 
 
 def test_json_mirrors_csv_fields(capsys):

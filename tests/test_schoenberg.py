@@ -456,6 +456,28 @@ def test_csv_rejects_non_numeric_rows(row):
         from_csv(io.StringIO(text))
 
 
+@pytest.mark.parametrize("order", [2.5, -3, math.nan])
+def test_sequence_rejects_a_quadrature_order_that_is_not_a_count(order):
+    with pytest.raises(DomainError, match="quadrature_order"):
+        SchoenbergSequence(1, [1.0, 0.0], order, "x")
+
+
+@pytest.mark.parametrize(
+    "meta,named",
+    [
+        ("# n_max=5\n", "n_max=5.*0..1"),  # a truncated write
+        ("# n_max=0\n", "n_max=0.*0..1"),
+        ("# n_max=x\n", "n_max='x'"),
+        ("# quadrature_order=-3\n", "quadrature_order"),
+        ("# quadrature_order=2.5\n", "quadrature_order='2.5'"),
+    ],
+)
+def test_csv_rejects_metadata_that_disagrees_with_the_rows(meta, named):
+    text = "# d=1\n" + meta + "n,b\n0,0.75\n1,0.25\n"
+    with pytest.raises(DomainError, match=named):
+        from_csv(io.StringIO(text))
+
+
 def test_csv_roundtrip_via_file(tmp_path):
     seq = fourier_coeffs(_cos, 12)
     path = tmp_path / "seq.csv"
