@@ -21,8 +21,8 @@ import scipy.linalg
 
 from . import catalog
 from .errors import DomainError, FactorizationError, ParameterError
-from .special import _check_count
-from .sphere import SpherePointSet, _gram_matrix, _unit_norms, pairwise_angles
+from .special import _check_count, _check_tolerance
+from .sphere import SpherePointSet, _gram_matrix, _rng, _unit_norms, pairwise_angles
 
 __all__ = [
     "FieldSample",
@@ -93,12 +93,13 @@ def interpolate_fit(
     y = np.asarray(data, dtype=float)
     if y.shape != (nodes.n_points,):
         raise DomainError(f"data must have shape ({nodes.n_points},), got {y.shape}")
-    if not ridge >= 0:
-        raise DomainError("ridge must be >= 0")
+    if not np.all(np.isfinite(y)):
+        raise DomainError("data must be finite")
+    ridge = _check_tolerance("ridge", ridge)
     K = _gram_matrix(spec, nodes) + ridge * np.eye(nodes.n_points)
     L, jitter = _chol_with_jitter(K)
     w = scipy.linalg.cho_solve((L, True), y)
-    return Interpolant(spec=spec, nodes=nodes, weights=w, ridge=float(ridge), jitter_used=jitter)
+    return Interpolant(spec=spec, nodes=nodes, weights=w, ridge=ridge, jitter_used=jitter)
 
 
 def interpolate_eval(interp: Interpolant, x):
@@ -127,8 +128,8 @@ def simulate(
             f"kernel {spec} is not valid on S^{pts.d}: {verdict.reason} (rule: {verdict.rule})"
         )
     n_samples = _check_count("n_samples", n_samples, 1)
+    rng = _rng(seed)
     L, jitter = _chol_with_jitter(_gram_matrix(spec, pts))
-    rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_samples, pts.n_points))
     return FieldSample(points=pts, values=z @ L.T, spec=spec, seed=seed, jitter_used=jitter)
 

@@ -9,22 +9,9 @@ criteria.
 
 Parameter ranges recorded here are the ones that guarantee (strict)
 positive definiteness; out-of-range specs still evaluate, so that the
-coefficient machinery can expose them as invalid.
-
-Families
---------
-powered_exponential  exp(-(theta/c)^alpha)                     c>0, alpha in (0,1]     all d
-matern               2^(1-nu)/Gamma(nu) (theta/c)^nu K_nu(...)  c>0, nu in (0,1/2]      all d
-generalized_cauchy   (1+(theta/c)^alpha)^(-tau/alpha)          c>0, tau>0, alpha<=1    all d
-dagum                1-((theta/c)/(1+theta/c))^alpha           c>0, tau<=1, alpha<tau  all d
-multiquadric         (1-delta)^(2 tau)/(1+delta^2-2 delta cos theta)^tau               all d
-sine_power           1 - sin(theta/2)^alpha                    alpha in (0,2)          all d
-spherical            (1+theta/(2c)) (1-theta/c)_+^2            c>0                     d<=3
-askey                (1-theta/c)_+^tau                         c>0, tau>=2             d<=3
-wendland_c2          (1+tau theta/c) (1-theta/c)_+^tau         c in (0,pi], tau>=4     d<=3
-wendland_c4          (1+tau u+(tau^2-1)/3 u^2) (1-u)_+^tau     c in (0,pi], tau>=6     d<=3
-gaspari_cohn         piecewise quintic, support c              c in (0,pi]             d<=3
-cosine               cos(theta)                                -                       all d (non-strict)
+coefficient machinery can expose them as invalid.  Each family's
+expression, parameter rule and defaults are listed by ``list_families()``
+and by ``spherekernels list``.
 """
 
 from __future__ import annotations
@@ -71,22 +58,17 @@ class KernelSpec:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        name = str(self.family).lower()
-        if name not in _FAMILIES:
-            raise UnknownFamilyError(
-                f"unknown kernel family {self.family!r}; known: {', '.join(FAMILY_NAMES)}"
-            )
-        fam = _FAMILIES[name]
+        name, fam = _family(self.family)
         clean: dict[str, float] = {}
         for key, value in dict(self.params).items():
             k = str(key).lower()
-            if k not in fam.param_names:
-                raise ParameterError(f"{name} takes parameters {fam.param_names}, got {key!r}")
+            if k not in fam.defaults:
+                raise ParameterError(f"{name} takes parameters {tuple(fam.defaults)}, got {key!r}")
             v = float(value)
             if not math.isfinite(v):
                 raise ParameterError(f"{name}: parameter {k}={value!r} is not finite")
             clean[k] = v
-        missing = [p for p in fam.param_names if p not in clean]
+        missing = [p for p in fam.defaults if p not in clean]
         if missing:
             raise ParameterError(f"{name}: missing parameters {missing}")
         object.__setattr__(self, "family", name)
@@ -111,16 +93,15 @@ class ValidityVerdict:
 
 @dataclass(frozen=True)
 class _Family:
-    param_names: tuple[str, ...]
-    defaults: dict[str, float]
+    defaults: dict[str, float]  # its keys are the parameter names, in order
     expression: str
     rule: str
     psi: Callable[[dict, np.ndarray], np.ndarray]
+    # returns (max_valid_dim, strict, reason); max dim 0 marks invalid params
+    classify: Callable[[dict], tuple[float, bool, str]]
     dphi: Callable[[dict, np.ndarray], np.ndarray] | None = None
     dnphi: Callable[[dict, np.ndarray, int], np.ndarray] | None = None
     fractal: Callable[[dict], float] | None = None
-    # returns (max_valid_dim, strict, reason); max dim 0 marks invalid params
-    classify: Callable[[dict], tuple[float, bool, str]] = None  # type: ignore[assignment]
     breaks: Callable[[dict], tuple[float, ...]] = lambda p: ()
     # largest order whose classical derivative exists everywhere on (0, inf)
     smooth_order: Callable[[dict], float] = lambda p: math.inf
@@ -151,8 +132,8 @@ def _psi_generalized_cauchy(p, th):
 
 
 def _psi_dagum(p, th):
-    u = th / p["c"]
-    return 1.0 - (u / (1.0 + u)) ** p["alpha"]
+    v = (th / p["c"]) ** p["tau"]
+    return 1.0 - (v / (1.0 + v)) ** (p["alpha"] / p["tau"])
 
 
 def _psi_multiquadric(p, th):
@@ -241,9 +222,10 @@ def _dphi_generalized_cauchy(p, t):
 
 
 def _dphi_dagum(p, t):
-    c, a = p["c"], p["alpha"]
+    c, a, tau = p["c"], p["alpha"], p["tau"]
     u = t / c
-    return -(a / c) * (u / (1.0 + u)) ** (a - 1.0) / (1.0 + u) ** 2
+    v = u**tau
+    return -(a / c) * u ** (tau - 1.0) * (v / (1.0 + v)) ** (a / tau - 1.0) / (1.0 + v) ** 2
 
 
 def _dphi_spherical(p, t):
@@ -388,7 +370,6 @@ def _breaks_gaspari_cohn(p):
 
 _FAMILIES: dict[str, _Family] = {
     "powered_exponential": _Family(
-        param_names=("c", "alpha"),
         defaults={"c": 1.0, "alpha": 1.0},
         expression="exp(-(theta/c)^alpha)",
         rule="c > 0; alpha in (0,1]; all dimensions, strict",
@@ -398,7 +379,6 @@ _FAMILIES: dict[str, _Family] = {
         classify=_classify_powered_exponential,
     ),
     "matern": _Family(
-        param_names=("c", "nu"),
         defaults={"c": 1.0, "nu": 0.5},
         expression="2^(1-nu)/Gamma(nu) (theta/c)^nu K_nu(theta/c)",
         rule="c > 0; nu in (0,1/2]; all dimensions, strict",
@@ -408,7 +388,6 @@ _FAMILIES: dict[str, _Family] = {
         classify=_classify_matern,
     ),
     "generalized_cauchy": _Family(
-        param_names=("c", "alpha", "tau"),
         defaults={"c": 1.0, "alpha": 1.0, "tau": 2.0},
         expression="(1+(theta/c)^alpha)^(-tau/alpha)",
         rule="c > 0; tau > 0; alpha in (0,1]; all dimensions, strict",
@@ -418,9 +397,8 @@ _FAMILIES: dict[str, _Family] = {
         classify=_classify_generalized_cauchy,
     ),
     "dagum": _Family(
-        param_names=("c", "tau", "alpha"),
         defaults={"c": 1.0, "tau": 1.0, "alpha": 0.5},
-        expression="1-((theta/c)^tau/(1+theta/c)^tau)^(alpha/tau)",
+        expression="1-((theta/c)^tau/(1+(theta/c)^tau))^(alpha/tau)",
         rule="c > 0; tau in (0,1]; alpha in (0,tau); all dimensions, strict",
         psi=_psi_dagum,
         dphi=_dphi_dagum,
@@ -428,7 +406,6 @@ _FAMILIES: dict[str, _Family] = {
         classify=_classify_dagum,
     ),
     "multiquadric": _Family(
-        param_names=("tau", "delta"),
         defaults={"tau": 1.0, "delta": 0.5},
         expression="(1-delta)^(2 tau)/(1+delta^2-2 delta cos theta)^tau",
         rule="tau > 0; delta in (0,1); all dimensions, strict",
@@ -436,7 +413,6 @@ _FAMILIES: dict[str, _Family] = {
         classify=_classify_multiquadric,
     ),
     "sine_power": _Family(
-        param_names=("alpha",),
         defaults={"alpha": 1.0},
         expression="1 - sin(theta/2)^alpha",
         rule="alpha in (0,2) strict; alpha = 2 valid non-strict; all dimensions",
@@ -445,7 +421,6 @@ _FAMILIES: dict[str, _Family] = {
         classify=_classify_sine_power,
     ),
     "spherical": _Family(
-        param_names=("c",),
         defaults={"c": math.pi / 2},
         expression="(1+theta/(2c)) (1-theta/c)_+^2",
         rule="c > 0; dimensions d <= 3, strict",
@@ -457,7 +432,6 @@ _FAMILIES: dict[str, _Family] = {
         smooth_order=lambda p: 1.0,
     ),
     "askey": _Family(
-        param_names=("c", "tau"),
         defaults={"c": math.pi / 2, "tau": 2.0},
         expression="(1-theta/c)_+^tau",
         rule="c > 0; tau >= 2; dimensions d <= 3, strict",
@@ -470,7 +444,6 @@ _FAMILIES: dict[str, _Family] = {
         smooth_order=_truncation_smoothness,
     ),
     "wendland_c2": _Family(
-        param_names=("c", "tau"),
         defaults={"c": math.pi / 2, "tau": 4.0},
         expression="(1+tau theta/c) (1-theta/c)_+^tau",
         rule="c in (0,pi]; tau >= 4; dimensions d <= 3, strict",
@@ -482,7 +455,6 @@ _FAMILIES: dict[str, _Family] = {
         smooth_order=_truncation_smoothness,
     ),
     "wendland_c4": _Family(
-        param_names=("c", "tau"),
         defaults={"c": math.pi / 2, "tau": 6.0},
         expression="(1+tau u+(tau^2-1)/3 u^2) (1-u)_+^tau, u=theta/c",
         rule="c in (0,pi]; tau >= 6; dimensions d <= 3, strict",
@@ -494,7 +466,6 @@ _FAMILIES: dict[str, _Family] = {
         smooth_order=_truncation_smoothness,
     ),
     "gaspari_cohn": _Family(
-        param_names=("c",),
         defaults={"c": math.pi / 2},
         expression="fifth-order piecewise rational, support [0, c]",
         rule="c in (0,pi]; dimensions d <= 3, strict",
@@ -505,7 +476,6 @@ _FAMILIES: dict[str, _Family] = {
         smooth_order=lambda p: 3.0,
     ),
     "cosine": _Family(
-        param_names=(),
         defaults={},
         expression="cos(theta)",
         rule="no parameters; all dimensions, non-strict",
@@ -517,14 +487,28 @@ _FAMILIES: dict[str, _Family] = {
 FAMILY_NAMES: tuple[str, ...] = tuple(_FAMILIES)
 
 
-def kernel(family: str, **params: float) -> KernelSpec:
-    """Build a KernelSpec, filling unspecified parameters from family defaults."""
+def _family(family) -> tuple[str, _Family]:
+    """The lower-cased family name and its record; UnknownFamilyError otherwise."""
     name = str(family).lower()
     if name not in _FAMILIES:
         raise UnknownFamilyError(
             f"unknown kernel family {family!r}; known: {', '.join(FAMILY_NAMES)}"
         )
-    merged = dict(_FAMILIES[name].defaults)
+    return name, _FAMILIES[name]
+
+
+def _profile_family(spec: KernelSpec) -> _Family:
+    """The record of a family with a Euclidean-argument profile; DomainError otherwise."""
+    fam = _FAMILIES[spec.family]
+    if fam.dphi is None:
+        raise DomainError(f"{spec.family} has no Euclidean-argument profile")
+    return fam
+
+
+def kernel(family: str, **params: float) -> KernelSpec:
+    """Build a KernelSpec, filling unspecified parameters from family defaults."""
+    name, fam = _family(family)
+    merged = dict(fam.defaults)
     merged.update({str(k).lower(): v for k, v in params.items()})
     return KernelSpec(name, merged)
 
@@ -561,13 +545,9 @@ def validate_params(spec: KernelSpec, d) -> ValidityVerdict:
     fam = _FAMILIES[spec.family]
     max_d, strict, reason = fam.classify(spec.params)
     valid = d <= max_d
-    if valid:
-        return ValidityVerdict(True, strict, fam.rule, reason)
-    if max_d == 0.0:
-        return ValidityVerdict(False, False, fam.rule, reason)
-    return ValidityVerdict(
-        False, False, fam.rule, f"guaranteed only for d <= {int(max_d)}, requested d={d}"
-    )
+    if 0 < max_d < d:
+        reason = f"guaranteed only for d <= {int(max_d)}, requested d={d}"
+    return ValidityVerdict(valid, valid and strict, fam.rule, reason)
 
 
 def _check_theta(theta) -> np.ndarray:
@@ -602,9 +582,7 @@ def evaluate_euclidean(spec: KernelSpec, t):
     Defined only for families that are restrictions of kernels on R^3
     (or on every Euclidean space); raises DomainError otherwise.
     """
-    fam = _FAMILIES[spec.family]
-    if fam.dphi is None:
-        raise DomainError(f"{spec.family} has no Euclidean-argument profile")
+    fam = _profile_family(spec)
     arr = _check_distance(t)
     out = fam.psi(spec.params, arr)
     return float(out) if arr.ndim == 0 else out
@@ -620,9 +598,7 @@ def euclid_derivative(spec: KernelSpec, t, order: int = 1):
     ``max_derivative_order``.  t = 0 is outside the domain for every
     family, since rough profiles have no derivative there.
     """
-    fam = _FAMILIES[spec.family]
-    if fam.dphi is None:
-        raise DomainError(f"{spec.family} has no Euclidean-argument derivative")
+    fam = _profile_family(spec)
     order = _check_count("derivative order", order, 1)
     if order > 3:
         raise DomainError(f"derivative order must be 1, 2 or 3, got {order}")

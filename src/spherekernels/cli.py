@@ -87,13 +87,13 @@ def _cmd_list(args, spec) -> None:
     _emit(catalog.list_families(), args.format)
 
 
+def _emit_values(thetas: np.ndarray, values: np.ndarray, fmt: str) -> None:
+    _emit([{"theta_rad": _fmt(t), "value": _fmt(v)} for t, v in zip(thetas, values)], fmt)
+
+
 def _cmd_eval(args, spec) -> None:
     thetas = _thetas(args)
-    values = catalog.evaluate(spec, thetas)
-    _emit(
-        [{"theta_rad": _fmt(t), "value": _fmt(v)} for t, v in zip(thetas, values)],
-        args.format,
-    )
+    _emit_values(thetas, catalog.evaluate(spec, thetas), args.format)
 
 
 def _sequence_for_args(args, spec) -> schoenberg.SchoenbergSequence:
@@ -254,11 +254,7 @@ def _cmd_localize(args, spec) -> None:
 def _cmd_reconstruct(args, spec) -> None:
     seq = schoenberg.from_csv(args.coeffs)
     thetas = _thetas(args)
-    values = schoenberg.reconstruct(seq, thetas)
-    _emit(
-        [{"theta_rad": _fmt(t), "value": _fmt(v)} for t, v in zip(thetas, values)],
-        args.format,
-    )
+    _emit_values(thetas, schoenberg.reconstruct(seq, thetas), args.format)
 
 
 @contextlib.contextmanager

@@ -22,8 +22,13 @@ that have no closed form come from one finite-difference rule on phi'
 Schoenberg coefficients.
 
 Grid checks cannot certify convexity, so a YES here is a verified
-hypothesis on the grid, NO exhibits violations, and INCONCLUSIVE flags
-violations within tolerance of zero.
+hypothesis on the grid.  A grid excess above the fixed tolerance 1e-9
+(times the largest |value|, when that exceeds 1) is a violation and
+gives NO; an excess between the rounding floor and that tolerance gives
+INCONCLUSIVE.  Otherwise NO comes only from a negative integral
+(``polya_circle``) or a missing derivative (``polya_2n1``).  A profile
+that has not decayed at the finite horizon is INCONCLUSIVE, not NO: the
+decay hypothesis is asymptotic.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .special import _check_count
 __all__ = ["CriterionReport", "polya_2n1", "polya_circle", "polya_s3"]
 
 _FD_GRID_START = 1e-2  # finite-difference noise swamps the convexity signal below this
+_TOL = 1e-9  # a grid excess above _TOL * max(1, largest |value|) is a violation
 
 
 @dataclass(frozen=True)
@@ -53,8 +59,8 @@ class CriterionReport:
     details: dict = field(default_factory=dict)
 
 
-def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray], tol: float):
-    """Midpoint convexity on consecutive grid pairs: g(mid) <= avg within tol.
+def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray]):
+    """Midpoint convexity on consecutive grid pairs: g(mid) <= avg within _TOL.
 
     Also checks every grid triple against its chord, which catches a
     downward jump even when the extra midpoint lands past it.
@@ -66,7 +72,7 @@ def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray], tol: 
     chord_excess = gx[1:-1] - (gx[:-2] + (gx[2:] - gx[:-2]) * frac)
     scale = max(1.0, float(np.abs(gx).max()))
     floor = 64 * np.finfo(float).eps * scale  # roundoff floor
-    hard = np.concatenate([mids[excess > tol * scale], x[1:-1][chord_excess > tol * scale]])
+    hard = np.concatenate([mids[excess > _TOL * scale], x[1:-1][chord_excess > _TOL * scale]])
     soft = np.concatenate([mids[excess > floor], x[1:-1][chord_excess > floor]])
     return np.sort(hard), np.sort(soft)
 
@@ -79,7 +85,7 @@ def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
     return "YES"
 
 
-def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionReport:
+def polya_circle(kern, grid_size: int = 512) -> CriterionReport:
     """Check nonincreasingness, convexity and integral sign of psi on [0, pi]."""
     grid_size = _check_count("grid_size", grid_size, 3)
     psi, breaks = catalog.as_psi(kern)
@@ -88,9 +94,9 @@ def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionR
     x = np.linspace(0.0, math.pi, grid_size)
     fx = psi(x)
     scale = max(1.0, float(np.abs(fx).max()))
-    increases = x[1:][np.diff(fx) > tol * scale]
+    increases = x[1:][np.diff(fx) > _TOL * scale]
     soft_increases = x[1:][np.diff(fx) > 64 * np.finfo(float).eps * scale]
-    hard_cvx, soft_cvx = _convexity_flags(x, psi, tol)
+    hard_cvx, soft_cvx = _convexity_flags(x, psi)
     nodes, weights = schoenberg._theta_rule(breaks, 0)
     integral = float(weights @ psi(nodes))
     integral_bad = integral < -1e-10
@@ -104,7 +110,7 @@ def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionR
     # second differences bounded away from zero somewhere => not piecewise linear
     second = fx[:-2] - 2.0 * fx[1:-1] + fx[2:]
     h2 = (x[1] - x[0]) ** 2
-    curved = float(np.abs(second).max()) > 1e3 * tol * h2 * scale
+    curved = float(np.abs(second).max()) > 1e3 * _TOL * h2 * scale
     implied = None
     if satisfied == "YES":
         implied = "Psi_1+" if curved else "Psi_1"
@@ -121,7 +127,7 @@ def polya_circle(kern, grid_size: int = 512, *, tol: float = 1e-9) -> CriterionR
     )
 
 
-def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, tol, details):
+def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, details):
     """Shared body of polya_s3 and polya_2n1: convexity of (-1)^order phi^(order),
     read at sqrt(t) on a grid spanning T^2 when ``squared`` (S^3), else at t up to T.
     """
@@ -143,6 +149,8 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, t
         )
     if not abs(float(np.atleast_1d(phi(np.array([0.0])))[0]) - 1.0) <= 1e-12:
         raise DomainError("profile must satisfy phi(0) = 1 within 1e-12")
+    if horizon is not None and not 0 < horizon < math.inf:
+        raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     T = horizon if horizon is not None else 50.0 * (scale or 2.0)
     limit_val = float(np.atleast_1d(phi(np.array([T])))[0])
     limit_ok = abs(limit_val) < 1e-6
@@ -153,10 +161,10 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, t
     start = math.log10(_FD_GRID_START) if fd_based else -6.0
     span = (2.0 if squared else 1.0) * math.log10(T)
     t_grid = np.logspace(start, span, grid_size)
-    hard, soft = _convexity_flags(t_grid, g, tol)
+    hard, soft = _convexity_flags(t_grid, g)
     satisfied = _verdict(hard, soft)
-    if not limit_ok:
-        satisfied = "NO"
+    if satisfied == "YES" and not limit_ok:
+        satisfied = "INCONCLUSIVE"
     return CriterionReport(
         criterion=criterion,
         satisfied=satisfied,
@@ -173,7 +181,6 @@ def polya_s3(
     grid_size: int = 256,
     horizon: float | None = None,
     dphi: Callable | None = None,
-    tol: float = 1e-9,
 ) -> CriterionReport:
     """Check phi(0)=1, decay at a finite horizon, and convexity of -phi'(sqrt t).
 
@@ -182,10 +189,11 @@ def polya_s3(
     without ``dphi`` raises DomainError.  YES implies the restriction of phi
     to [0, pi] is strictly positive definite on spheres up to dimension 3.
     The decay hypothesis is asymptotic; it is tested as |phi(T)| < 1e-6 at
-    T = horizon (default 50 * scale when the spec carries a scale, else 100).
+    T = horizon (finite and > 0; default 50 * scale when the spec carries a
+    scale, else 100), and a profile that fails only this test is INCONCLUSIVE.
     """
     grid_size = _check_count("grid_size", grid_size, 3)
-    return _profile_report("polya_s3", kern, dphi, 1, True, grid_size, horizon, tol, {})
+    return _profile_report("polya_s3", kern, dphi, 1, True, grid_size, horizon, {})
 
 
 def polya_2n1(
@@ -195,7 +203,6 @@ def polya_2n1(
     grid_size: int = 256,
     horizon: float | None = None,
     dphi: Callable | None = None,
-    tol: float = 1e-9,
 ) -> CriterionReport:
     """Check convexity of (-1)^n phi^(n) for n in {1, 2, 3}.
 
@@ -228,5 +235,5 @@ def polya_2n1(
             },
         )
     return _profile_report(
-        "polya_2n1", kern, dphi, n, False, grid_size, horizon, tol, {"order": n}
+        "polya_2n1", kern, dphi, n, False, grid_size, horizon, {"order": n}
     )

@@ -28,7 +28,7 @@ finite truncations cannot certify the infinite conditions.
 
 from __future__ import annotations
 
-import io
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -39,6 +39,7 @@ from . import catalog
 from .errors import DimensionMismatchError, DomainError
 from .special import (
     _check_count,
+    _check_tolerance,
     _leggauss_cached,
     _normalized_rows,
     gegenbauer_normalized_table,
@@ -305,6 +306,7 @@ def strictness_evidence(
     """Report strictly positive coefficient counts (and, for d = 1, the
     arithmetic-progression condition).  Evidence within the truncation
     window only, never a proof."""
+    tol = _check_tolerance("tol", tol)
     progression_n_max = _check_count("progression_n_max", progression_n_max, 1)
     b = seq.coeffs
     pos = np.flatnonzero(b > tol)
@@ -359,6 +361,9 @@ def membership(
     if n_max is None:
         n_max = 200 if d <= 3 else 100
     n_max = _check_count("n_max", n_max, 10)
+    tol_fail = _check_tolerance("tol_fail", tol_fail)
+    tol_pass = _check_tolerance("tol_pass", tol_pass)
+    tail_tol = _check_tolerance("tail_tol", tail_tol)
     seq = fourier_coeffs(kern, n_max) if d == 1 else gegenbauer_coeffs(kern, d, n_max)
     b = seq.coeffs
     min_index = int(np.argmin(b))
@@ -415,10 +420,19 @@ def membership(
 # serialization
 
 
+@contextlib.contextmanager
+def _opened(path_or_buf, mode: str):
+    """A path is opened here and closed on exit; an open buffer is used as it is."""
+    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
+        with open(path_or_buf, mode, encoding="utf8") as fh:
+            yield fh
+    else:
+        yield path_or_buf
+
+
 def to_csv(seq: SchoenbergSequence, path_or_buf) -> None:
     """Write ``n,b`` rows with #-prefixed metadata comment lines."""
-
-    def _write(fh):
+    with _opened(path_or_buf, "w") as fh:
         fh.write(f"# d={seq.d}\n")
         fh.write(f"# n_max={seq.n_max}\n")
         fh.write(f"# quadrature_order={seq.quadrature_order}\n")
@@ -427,23 +441,14 @@ def to_csv(seq: SchoenbergSequence, path_or_buf) -> None:
         for n, bn in enumerate(seq.coeffs):
             fh.write(f"{n},{float(bn)!r}\n")
 
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "w", encoding="utf8") as fh:
-            _write(fh)
-    else:
-        _write(path_or_buf)
-
 
 def from_csv(path_or_buf) -> SchoenbergSequence:
     """Read a sequence written by ``to_csv``."""
-    if isinstance(path_or_buf, (str, bytes)) or hasattr(path_or_buf, "__fspath__"):
-        with open(path_or_buf, "r", encoding="utf8") as fh:
-            text = fh.read()
-    else:
-        text = path_or_buf.read()
+    with _opened(path_or_buf, "r") as fh:
+        text = fh.read()
     meta: dict[str, str] = {}
     rows: list[tuple[int, float]] = []
-    for line in io.StringIO(text):
+    for line in text.splitlines():
         line = line.strip()
         if not line:
             continue

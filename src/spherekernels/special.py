@@ -15,11 +15,14 @@ are the lambda = 1/2 case.  The (n + 1) x len(x) table is built from the stream.
 
 Every integer count in the package (degrees, orders, dimensions, sizes)
 passes one gate, ``_check_count``: an integer >= its floor, where an
-integral float such as 3.0 counts and NaN, inf and 2.5 do not.
+integral float such as 3.0 counts and NaN, inf and 2.5 do not.  Every
+tolerance (and the interpolation ridge) passes ``_check_tolerance``: a
+finite number >= 0, so that NaN, inf and -1 fail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -76,6 +79,13 @@ def _check_count(name: str, value, lo: int, error: type[Exception] = DomainError
     if not (value >= lo and float(value).is_integer()):
         raise error(f"{name} must be an integer >= {lo}, got {value}")
     return int(value)
+
+
+def _check_tolerance(name: str, value) -> float:
+    """The tolerance gate: ``value`` as a float when it is finite and >= 0; NaN and inf fail."""
+    if not 0 <= value < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    return float(value)
 
 
 def gauss_legendre(m: int) -> QuadratureRule:

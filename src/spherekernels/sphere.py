@@ -19,7 +19,7 @@ from scipy.spatial.distance import cdist
 
 from . import catalog
 from .errors import DomainError
-from .special import _check_count
+from .special import _check_count, _check_tolerance
 
 __all__ = [
     "GramReport",
@@ -118,8 +118,7 @@ def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> 
     n = _check_count("number of points n", n, 1)
     d = _check_count("sphere dimension d", d, 1)
     if scheme == "uniform_random":
-        rng = np.random.default_rng(seed)
-        vecs = rng.standard_normal((n, d + 1))
+        vecs = _rng(seed).standard_normal((n, d + 1))
         return SpherePointSet(vecs / np.linalg.norm(vecs, axis=1)[:, None])
     if scheme == "fibonacci_s2":
         if d != 2:
@@ -139,6 +138,14 @@ def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> 
     raise DomainError(f"unknown sampling scheme {scheme!r}")
 
 
+def _rng(seed) -> np.random.Generator:
+    """numpy's generator for ``seed``; a seed numpy refuses (such as -1) raises DomainError."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"invalid seed {seed!r}: {exc}") from None
+
+
 def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
     """K_ij = psi(theta_ij); LAPACK's eigvalsh and lower Cholesky read one triangle."""
     psi, _ = catalog.as_psi(kern)
@@ -151,6 +158,7 @@ def gram_report(kern, pts: SpherePointSet, tol: float = 1e-8) -> GramReport:
     The verdict is min_eigenvalue >= -tol * n_points, which absorbs the
     growth of symmetric-eigensolver backward error with matrix size.
     """
+    tol = _check_tolerance("tol", tol)
     eigvals = np.linalg.eigvalsh(_gram_matrix(kern, pts))
     lo, hi = float(eigvals[0]), float(eigvals[-1])
     return GramReport(

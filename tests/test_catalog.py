@@ -76,6 +76,24 @@ def test_spec_point_values():
     assert evaluate(kernel("gaspari_cohn", c=1), 0.5) == pytest.approx(5.0 / 24.0, rel=1e-13)
 
 
+def test_dagum_reads_its_tau():
+    theta = np.array([0.3, 1.0, 2.5])
+    # tau = 1: the values of the closed form 1 - (u/(1+u))^alpha, bit for bit
+    at_one = kernel("dagum", c=1.5, tau=1.0, alpha=0.4)
+    assert evaluate(at_one, theta).tolist() == [
+        float.fromhex(h) for h in ("0x1.05f5c3ab6c918p-1", "0x1.3a383cfd07c78p-2",
+                                   "0x1.5effe20edb9e0p-3")
+    ]
+    assert euclid_derivative(at_one, theta).tolist() == [
+        -0.5426214910339855, -0.16635476235723518, -0.04971681026009979
+    ]
+    # tau = 0.5: 1 - (u^tau/(1+u^tau))^(alpha/tau) with u = theta/c
+    spec = kernel("dagum", c=2.0, tau=0.5, alpha=0.3)
+    closed = [1.0 - (math.sqrt(t / 2) / (1 + math.sqrt(t / 2))) ** 0.6 for t in theta]
+    assert evaluate(spec, theta) == pytest.approx(closed, rel=1e-14)
+    assert evaluate(spec, 1.0) != evaluate(kernel("dagum", c=2.0, tau=1.0, alpha=0.3), 1.0)
+
+
 @pytest.mark.parametrize("name", COMPACT)
 def test_compact_support(name):
     spec = kernel(name, c=1.2) if name in ("spherical", "gaspari_cohn") else kernel(name, c=1.2)
@@ -294,31 +312,59 @@ def _interpolant():
     return interpolate_fit(_MATERN, sample_points(2, 5, seed=0), np.arange(5.0))
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: evaluate(_MATERN, _NAN),
-        lambda: evaluate(_MATERN, [0.0, _NAN]),
-        lambda: evaluate_euclidean(_MATERN, _NAN),
-        lambda: evaluate_euclidean(_MATERN, math.inf),
-        lambda: euclid_derivative(_PE, -1.0),
-        lambda: euclid_derivative(_PE, _NAN),
-        lambda: yadrenko(_MATERN, _NAN),
-        lambda: gegenbauer_normalized(3, 0.5, _NAN),
-        lambda: reconstruct(fourier_coeffs(_MATERN, 20), _NAN),
-        lambda: localization_compare(1.0, [0.0, _NAN]),
-        lambda: interpolate_eval(_interpolant(), [_NAN, 0.0, 1.0]),
-        lambda: interpolate_eval(_interpolant(), np.tile([0.0, 0.0, 1.0], (2, 3, 1))),
-        lambda: great_circle([_NAN, 0.0, 1.0], [0.0, 0.0, 1.0]),
-        lambda: bessel_k(0.5, _NAN),
-        lambda: validate_params(_MATERN, _NAN),
-        lambda: validate_params(_MATERN, 2.5),
-    ],
-    ids=["evaluate", "evaluate-array", "evaluate_euclidean", "evaluate_euclidean-inf",
-         "euclid_derivative-negative", "euclid_derivative", "yadrenko",
-         "gegenbauer_normalized", "reconstruct", "localization_compare", "interpolate_eval",
-         "interpolate_eval-3d", "great_circle", "bessel_k", "validate_params", "validate_params-fraction"],
+_OUTSIDE = {
+    "evaluate": lambda: evaluate(_MATERN, _NAN),
+    "evaluate-array": lambda: evaluate(_MATERN, [0.0, _NAN]),
+    "evaluate_euclidean": lambda: evaluate_euclidean(_MATERN, _NAN),
+    "evaluate_euclidean-inf": lambda: evaluate_euclidean(_MATERN, math.inf),
+    "euclid_derivative-negative": lambda: euclid_derivative(_PE, -1.0),
+    "euclid_derivative": lambda: euclid_derivative(_PE, _NAN),
+    "yadrenko": lambda: yadrenko(_MATERN, _NAN),
+    "gegenbauer_normalized": lambda: gegenbauer_normalized(3, 0.5, _NAN),
+    "reconstruct": lambda: reconstruct(fourier_coeffs(_MATERN, 20), _NAN),
+    "localization_compare": lambda: localization_compare(1.0, [0.0, _NAN]),
+    "interpolate_eval": lambda: interpolate_eval(_interpolant(), [_NAN, 0.0, 1.0]),
+    "interpolate_eval-3d": lambda: interpolate_eval(
+        _interpolant(), np.tile([0.0, 0.0, 1.0], (2, 3, 1))
+    ),
+    "great_circle": lambda: great_circle([_NAN, 0.0, 1.0], [0.0, 0.0, 1.0]),
+    "bessel_k": lambda: bessel_k(0.5, _NAN),
+    "validate_params": lambda: validate_params(_MATERN, _NAN),
+    "validate_params-fraction": lambda: validate_params(_MATERN, 2.5),
+    "interpolate_fit-nan-data": lambda: interpolate_fit(
+        _MATERN, sample_points(2, 3, seed=0), [0.0, _NAN, 1.0]
+    ),
+    "interpolate_fit-inf-data": lambda: interpolate_fit(
+        _MATERN, sample_points(2, 3, seed=0), [0.0, math.inf, 1.0]
+    ),
+    "sample_points-seed": lambda: sample_points(2, 5, seed=-1),
+    "sample_points-seed-fraction": lambda: sample_points(2, 5, seed=2.5),
+    "simulate-seed": lambda: simulate(_MATERN, sample_points(2, 5, seed=0), 2, seed=-1),
+}
+# Every tolerance (and the ridge) must be finite and >= 0, a Polya horizon finite and > 0.
+_TOLERANCES = {
+    "membership-tol_fail": lambda v: membership(_MATERN, 2, 20, tol_fail=v),
+    "membership-tol_pass": lambda v: membership(_MATERN, 2, 20, tol_pass=v),
+    "membership-tail_tol": lambda v: membership(_MATERN, 2, 20, tail_tol=v),
+    "strictness_evidence-tol": lambda v: strictness_evidence(_SEQ, tol=v),
+    "gram_report-tol": lambda v: gram_report(_MATERN, sample_points(2, 5, seed=0), tol=v),
+    "interpolate_fit-ridge": lambda v: interpolate_fit(
+        _MATERN, sample_points(2, 5, seed=0), np.arange(5.0), ridge=v
+    ),
+}
+_HORIZONS = {
+    "polya_s3-horizon": lambda v: polya_s3(_MATERN, horizon=v),
+    "polya_2n1-horizon": lambda v: polya_2n1(_MATERN, 1, horizon=v),
+}
+_OUTSIDE.update(
+    {f"{name}-{bad}": (lambda call=call, bad=bad: call(bad))
+     for table, bads in ((_TOLERANCES, (-1.0, _NAN, math.inf)),
+                         (_HORIZONS, (0.0, -1.0, _NAN, math.inf)))
+     for name, call in table.items() for bad in bads}
 )
+
+
+@pytest.mark.parametrize("call", list(_OUTSIDE.values()), ids=list(_OUTSIDE))
 def test_input_outside_its_domain_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call()
@@ -437,7 +483,7 @@ def test_angle_gate_allows_the_same_slack_everywhere():
 def test_euclid_derivative_matches_finite_differences():
     ts = np.array([0.05, 0.3, 0.7, 1.3])
     h = 1e-6
-    for spec in EUCLIDEAN_DEFAULT_SPECS:
+    for spec in EUCLIDEAN_DEFAULT_SPECS + [kernel("dagum", c=1.0, tau=0.5, alpha=0.3)]:
         exact = euclid_derivative(spec, ts, 1)
         fd = (evaluate_euclidean(spec, ts + h) - evaluate_euclidean(spec, ts - h)) / (2 * h)
         assert np.allclose(exact, fd, rtol=1e-6, atol=1e-8), spec

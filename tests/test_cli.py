@@ -193,6 +193,20 @@ _BAD_FILES = [
     ("gram", "--points", "x0,x1,x2\n1,0,0\nnan,0,1\n", "finite"),
     ("gram", "--points", "x0,x1,x2\n1,0,0\n0,1\n", "'0,1'"),
     ("reconstruct", "--coeffs", "# d=abc\nn,b\n0,1.0\n", "d='abc'"),
+    ("interp", "--points", "x0,x1,x2,value\n1,0,0,1.0\n0,1,0,nan\n", "finite"),
+    ("interp", "--points", "x0,x1,x2,value\n1,0,0,1.0\n0,1,0,inf\n", "finite"),
+]
+
+# argv after the verb and --kernel, text the one-line error must contain
+_BAD_ARGS = [
+    ("member", "--tol", "-1", "tol_fail"),
+    ("member", "--tol", "nan", "tol_fail"),
+    ("member", "--tail-tol", "nan", "tail_tol"),
+    ("gram", "--tol", "nan", "tol"),
+    ("gram", "--tol", "-1", "tol"),
+    ("gram", "--seed", "-1", "seed -1"),
+    ("simulate", "--seed", "-1", "seed -1"),
+    ("interp", "--ridge", "inf", "ridge"),
 ]
 
 
@@ -211,6 +225,14 @@ def test_exit_code_domain_error(capsys, tmp_path):
         argv += ["--theta", "1"] if verb == "reconstruct" else ["--kernel", "matern:c=1,nu=0.5"]
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == "", text
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
+    nodes = tmp_path / "nodes.csv"
+    write_points(sample_points(2, 5, seed=0), nodes, values=np.arange(5.0))
+    for verb, flag, value, named in _BAD_ARGS:
+        argv = [verb, "--kernel", "matern:c=1,nu=0.5", flag, value]
+        argv += ["--points", str(nodes)] if verb == "interp" else []
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and out == "", argv
         assert err.startswith("error:") and err.count("\n") == 1 and named in err, err
 
 
@@ -241,6 +263,9 @@ def test_process_exit_codes():
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
     assert run("gram", "--kernel", "cosine", "--degrees").returncode == 2
+    done = run("member", "--kernel", "matern", "--tol", "-1")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
 
 
 def test_json_mirrors_csv_fields(capsys):

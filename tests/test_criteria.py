@@ -59,6 +59,27 @@ def test_s3_squared_exponential_no():
         lambda t: np.exp(-(t**2)), dphi=lambda t: -2.0 * t * np.exp(-(t**2))
     )
     assert report.satisfied == "NO"
+    assert report.violations and report.details["limit_ok"]
+
+
+# completely monotone profiles, still above 1e-6 at the default horizon T = 50c
+@pytest.mark.parametrize(
+    "spec",
+    [kernel("generalized_cauchy"), kernel("dagum"), kernel("powered_exponential", alpha=0.5)],
+    ids=str,
+)
+def test_decay_shortfall_alone_is_inconclusive(spec):
+    for report in (polya_s3(spec), polya_2n1(spec, 1), polya_2n1(spec, 2)):
+        assert report.satisfied == "INCONCLUSIVE", report.criterion
+        assert not report.violations and not report.details["limit_ok"]
+
+
+@pytest.mark.parametrize("spec", EUCLIDEAN_DEFAULT_SPECS, ids=str)
+def test_profile_checkers_answer_no_only_with_a_violation(spec):
+    for report in [polya_s3(spec)] + [polya_2n1(spec, n) for n in (1, 2, 3)]:
+        if report.satisfied == "NO":
+            # grid violations, or polya_2n1's missing derivative, stated as its reason
+            assert report.violations or "reason" in report.details, (report.criterion, spec)
 
 
 def test_2n1_exponential_order3_yes():
