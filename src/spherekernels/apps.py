@@ -22,7 +22,7 @@ import scipy.linalg
 from . import catalog
 from .errors import DomainError, FactorizationError, ParameterError
 from .special import _check_count, _check_tolerance
-from .sphere import SpherePointSet, _gram_matrix, _rng, _unit_norms, pairwise_angles
+from .sphere import SpherePointSet, _gram_matrix, _rng, _row_blocks, _unit_norms, pairwise_angles
 
 __all__ = [
     "FieldSample",
@@ -103,14 +103,25 @@ def interpolate_fit(
 
 
 def interpolate_eval(interp: Interpolant, x):
-    """Evaluate sum_j w_j psi(theta(x, node_j)) at one point or a stack."""
+    """Evaluate sum_j w_j psi(theta(x, node_j)) at one point or a stack.
+
+    One vector gives a float, a stack of m vectors an array of shape (m,).
+    The query x node kernel matrix is evaluated one row block at a time
+    and never stored whole, so memory does not grow with m times the
+    number of nodes.
+    """
     pts = np.asarray(x, dtype=float)
     pts2 = np.atleast_2d(pts)
     if pts2.ndim != 2 or pts2.shape[1] != interp.nodes.d + 1:
         raise DomainError(f"points must be one vector or a stack of vectors with "
                           f"{interp.nodes.d + 1} coordinates")
-    angles = pairwise_angles(pts2 / _unit_norms(pts2)[:, None], interp.nodes.points)
-    vals = (catalog.evaluate(interp.spec, angles) @ interp.weights).reshape(pts.shape[:-1])
+    queries = pts2 / _unit_norms(pts2)[:, None]
+    nodes = interp.nodes.points
+    vals = np.empty(len(queries))
+    for rows in _row_blocks(len(queries), len(nodes)):
+        angles = pairwise_angles(queries[rows], nodes)
+        vals[rows] = catalog.evaluate(interp.spec, angles) @ interp.weights
+    vals = vals.reshape(pts.shape[:-1])
     return float(vals) if vals.ndim == 0 else vals
 
 

@@ -60,10 +60,9 @@ class KernelSpec:
     def __post_init__(self):
         name, fam = _family(self.family)
         clean: dict[str, float] = {}
-        for key, value in dict(self.params).items():
-            k = str(key).lower()
+        for k, value in _lowered(dict(self.params).items()).items():
             if k not in fam.defaults:
-                raise ParameterError(f"{name} takes parameters {tuple(fam.defaults)}, got {key!r}")
+                raise ParameterError(f"{name} takes parameters {tuple(fam.defaults)}, got {k!r}")
             v = float(value)
             if not math.isfinite(v):
                 raise ParameterError(f"{name}: parameter {k}={value!r} is not finite")
@@ -505,12 +504,25 @@ def _profile_family(spec: KernelSpec) -> _Family:
     return fam
 
 
-def kernel(family: str, **params: float) -> KernelSpec:
+def _lowered(items) -> dict:
+    """(name, value) pairs as a dict keyed by the lower-cased name.
+
+    The one duplicate check of kernel parameters: a name that comes twice
+    after lower-casing raises ParameterError instead of keeping the last value.
+    """
+    out = {}
+    for key, value in items:
+        k = str(key).lower()
+        if k in out:
+            raise ParameterError(f"kernel parameter {k!r} is given more than once")
+        out[k] = value
+    return out
+
+
+def kernel(family: str, /, **params: float) -> KernelSpec:
     """Build a KernelSpec, filling unspecified parameters from family defaults."""
     name, fam = _family(family)
-    merged = dict(fam.defaults)
-    merged.update({str(k).lower(): v for k, v in params.items()})
-    return KernelSpec(name, merged)
+    return KernelSpec(name, {**fam.defaults, **_lowered(params.items())})
 
 
 def parse_kernel(text: str) -> KernelSpec:
@@ -519,7 +531,7 @@ def parse_kernel(text: str) -> KernelSpec:
     if not body:
         raise ParameterError("empty kernel specification")
     name, _, rest = body.partition(":")
-    params: dict[str, float] = {}
+    params: list[tuple[str, float]] = []
     if rest:
         for item in rest.split(","):
             if not item.strip():
@@ -528,10 +540,10 @@ def parse_kernel(text: str) -> KernelSpec:
             if not sep:
                 raise ParameterError(f"malformed kernel parameter {item!r} (expected key=value)")
             try:
-                params[key.strip()] = float(value)
+                params.append((key.strip(), float(value)))
             except ValueError as exc:
                 raise ParameterError(f"non-numeric kernel parameter {item!r}") from exc
-    return kernel(name, **params)
+    return kernel(name, **_lowered(params))
 
 
 def validate_params(spec: KernelSpec, d) -> ValidityVerdict:

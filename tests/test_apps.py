@@ -1,6 +1,7 @@
 """Interpolation, field simulation, fractal estimation and localization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from spherekernels import (
     localization_compare,
     sample_points,
     simulate,
+    sphere,
 )
 from spherekernels.catalog import evaluate
 from spherekernels.errors import DomainError, ParameterError
+from spherekernels.sphere import pairwise_angles
 
 
 def _height_data(pts):
@@ -35,6 +38,37 @@ def test_node_exactness_at_zero_ridge(spec):
     interp = interpolate_fit(spec, nodes, data)
     resid = np.abs(interpolate_eval(interp, nodes.points) - data)
     assert resid.max() <= 1e-8 * np.linalg.norm(data)
+
+
+@pytest.mark.parametrize("entries", [None, 250], ids=["default", "one-row-blocks"])
+@pytest.mark.parametrize("spec", STRICT_DEFAULT_SPECS, ids=str)
+def test_eval_in_row_blocks_is_the_whole_matrix(monkeypatch, spec, entries):
+    if entries is not None:
+        monkeypatch.setattr(sphere, "_BLOCK_ENTRIES", entries)
+    nodes = sample_points(2, 300, seed=12)
+    interp = interpolate_fit(spec, nodes, np.sin(3 * nodes.points[:, 0]))
+    queries = sample_points(2, 1000, seed=13).points  # 218-row blocks and one of 128
+    want = evaluate(spec, pairwise_angles(queries, nodes.points)) @ interp.weights
+    got = interpolate_eval(interp, queries)
+    assert got.shape == (1000,)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    one = interpolate_eval(interp, queries[7])
+    assert isinstance(one, float) and abs(one - want[7]) <= 1e-14 * np.max(np.abs(want))
+    assert interpolate_eval(interp, np.empty((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("family", ["matern", "powered_exponential"])
+def test_eval_never_holds_the_query_by_node_matrix(family):
+    nodes = sample_points(2, 1000, seed=14)
+    interp = interpolate_fit(kernel(family), nodes, _height_data(nodes))
+    queries = sample_points(2, 8000, seed=15).points
+    tracemalloc.start()
+    try:
+        interpolate_eval(interp, queries)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6  # the 8000 x 1000 kernel matrix alone is 64 MB
 
 
 def test_zero_data_gives_zero_weights():

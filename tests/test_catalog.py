@@ -155,6 +155,20 @@ def test_bad_parameters_rejected():
         KernelSpec("matern", {"c": float("nan"), "nu": 0.5})
 
 
+_TWICE = {
+    "parse_kernel": lambda: parse_kernel("matern:c=1,c=3"),
+    "parse_kernel-case": lambda: parse_kernel("matern:C=1,nu=0.5,c=3"),
+    "kernel": lambda: kernel("matern", c=1, C=2),
+    "KernelSpec": lambda: KernelSpec("matern", {"c": 1, "C": 5, "nu": 0.5}),
+}
+
+
+@pytest.mark.parametrize("call", _TWICE.values(), ids=_TWICE.keys())
+def test_parameter_given_twice_is_rejected(call):
+    with pytest.raises(ParameterError, match="'c' is given more than once"):
+        call()
+
+
 def test_parse_kernel_roundtrip():
     spec = parse_kernel("Matern:C=0.3,NU=0.5")
     assert spec.family == "matern"
@@ -170,6 +184,8 @@ def test_parse_kernel_errors():
         parse_kernel("matern:c")
     with pytest.raises(ParameterError):
         parse_kernel("matern:c=abc")
+    with pytest.raises(ParameterError, match="got 'family'"):  # not kernel()'s own argument
+        parse_kernel("matern:family=1")
     with pytest.raises(UnknownFamilyError):
         parse_kernel("laplace:c=1")
 

@@ -214,6 +214,9 @@ def test_exit_code_domain_error(capsys, tmp_path):
     code, _, err = _run(capsys, "eval", "--kernel", "nosuchfamily:c=1", "--theta", "1")
     assert code == 1
     assert "error:" in err
+    code, out, err = _run(capsys, "eval", "--kernel", "matern:c=1,c=3", "--theta", "1")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "'c'" in err
     bad = tmp_path / "bad.csv"
     bad.write_text("# d=1\nn,b\n0,0.5\n1,abc\n")
     code, out, err = _run(capsys, "reconstruct", "--coeffs", str(bad), "--theta", "1")

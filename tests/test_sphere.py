@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import STRICT_DEFAULT_SPECS
+from conftest import DEFAULT_SPECS, STRICT_DEFAULT_SPECS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +16,12 @@ from spherekernels import (
     kernel,
     read_points,
     sample_points,
+    sphere,
     write_points,
 )
+from spherekernels.catalog import evaluate
 from spherekernels.errors import DomainError
-from spherekernels.sphere import pairwise_angles
+from spherekernels.sphere import _gram_matrix, pairwise_angles
 
 
 def test_great_circle_trivial_points():
@@ -162,11 +164,38 @@ def test_gram_psd_for_valid_kernels(spec):
 def test_gram_unit_diagonal_and_symmetry():
     pts = sample_points(2, 60, seed=5)
     K = kernel("sine_power", alpha=0.7)
-    from spherekernels.catalog import evaluate
-
     gram = evaluate(K, pts.distance_matrix())
     assert np.array_equal(gram, gram.T)
     assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-14
+
+
+# (N, block entries): the whole matrix in one block; 218-row blocks with a
+# last block of 82 rows; a row wider than a block, so one row per block
+_BLOCKINGS = [(40, None), (300, None), (50, 49)]
+
+
+@pytest.mark.parametrize("n, entries", _BLOCKINGS)
+@pytest.mark.parametrize("d", [1, 2, 4])
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+def test_gram_in_row_blocks_is_the_whole_matrix(monkeypatch, spec, d, n, entries):
+    if entries is not None:
+        monkeypatch.setattr(sphere, "_BLOCK_ENTRIES", entries)
+    pts = sample_points(d, n, seed=d * 1000 + n)
+    gram = _gram_matrix(spec, pts)
+    assert np.array_equal(gram, evaluate(spec, pts.distance_matrix()))
+    assert np.array_equal(gram, gram.T)
+
+
+@pytest.mark.parametrize("family", ["matern", "powered_exponential"])
+def test_gram_holds_little_beyond_its_result(family):
+    pts = sample_points(2, 1500, seed=6)
+    tracemalloc.start()
+    try:
+        gram = _gram_matrix(kernel(family), pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * gram.nbytes  # 18 MB; psi of the whole distance matrix peaks at 7x
 
 
 def test_gram_detects_indefinite_kernel():
