@@ -61,11 +61,24 @@ class FieldSample:
 
 
 def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K, escalating jitter on failure."""
-    base = float(np.mean(np.diag(K)))
+    """Lower Cholesky factor of an exactly symmetric K, escalating jitter on failure.
+
+    Every rung copies K into one work array, adds the rung's jitter to the
+    copy's diagonal and factors the copy in place, so K is never modified and
+    a failed rung leaves nothing behind.  The transpose of the C-order copy is
+    Fortran-contiguous, which LAPACK takes without another copy, and equals K
+    because K is symmetric.  With the ridge of ``interpolate_fit`` added to
+    K's own diagonal, a fit or a simulation holds at most two N x N arrays:
+    K and the work array that becomes the factor.
+    """
+    diag = np.diag(K)
+    base = float(np.mean(diag))
+    work = np.empty(K.shape)
     for level in JITTER_LADDER:
+        np.copyto(work, K)
+        np.fill_diagonal(work, diag + level * base)
         try:
-            L = scipy.linalg.cholesky(K + level * base * np.eye(K.shape[0]), lower=True)
+            L = scipy.linalg.cholesky(work.T, lower=True, overwrite_a=True)
             return L, level * base
         except scipy.linalg.LinAlgError:
             continue
@@ -96,7 +109,8 @@ def interpolate_fit(
     if not np.all(np.isfinite(y)):
         raise DomainError("data must be finite")
     ridge = _check_tolerance("ridge", ridge)
-    K = _gram_matrix(spec, nodes) + ridge * np.eye(nodes.n_points)
+    K = _gram_matrix(spec, nodes)
+    K.flat[:: nodes.n_points + 1] += ridge
     L, jitter = _chol_with_jitter(K)
     w = scipy.linalg.cho_solve((L, True), y)
     return Interpolant(spec=spec, nodes=nodes, weights=w, ridge=ridge, jitter_used=jitter)

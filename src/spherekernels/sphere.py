@@ -7,7 +7,9 @@ positive definiteness, never a certificate.
 
 Kernel matrices are evaluated in row blocks of about ``_BLOCK_ENTRIES``
 entries (``_row_blocks``), so the temporaries of a kernel evaluation stay a
-few MB however many points there are.
+few MB however many points there are.  A Gram matrix is symmetric, so psi is
+evaluated on its lower triangle, about once per pair of points, and the
+values are mirrored into the upper triangle.
 """
 
 from __future__ import annotations
@@ -163,17 +165,21 @@ def _row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
 
 
 def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
-    """K_ij = psi(theta_ij), filled one row block at a time.
+    """K_ij = psi(theta_ij), about one psi value per pair of points.
 
-    For a psi that acts entry by entry this equals psi(pts.distance_matrix())
-    bit for bit and is exactly symmetric, but only the N x N result is held
-    at full size.  LAPACK's eigvalsh and lower Cholesky read one triangle.
+    Each row block is evaluated up to its last diagonal entry, and the part
+    left of the block's diagonal square is mirrored into the columns above
+    it, so psi sees about N^2 / 2 angles.  For a psi that acts entry by
+    entry the result equals psi(pts.distance_matrix()) bit for bit and is
+    exactly symmetric, because the distances are; only the N x N result is
+    held at full size.
     """
     psi, _ = catalog.as_psi(kern)
     x = pts.points
     K = np.empty((pts.n_points, pts.n_points))
     for rows in _row_blocks(*K.shape):
-        K[rows] = psi(pairwise_angles(x[rows], x))
+        K[rows, : rows.stop] = psi(pairwise_angles(x[rows], x[: rows.stop]))
+        K[: rows.start, rows] = K[rows, : rows.start].T
     return K
 
 
@@ -224,7 +230,11 @@ def write_points(pts: SpherePointSet, path, values: Iterable[float] | None = Non
 
 
 def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
-    """Read a point CSV; returns the point set and the value column if present."""
+    """Read a point CSV; returns the point set and the value column if present.
+
+    A row that is not numeric, or whose ``lat_deg`` lies outside [-90, 90],
+    raises DomainError naming the row.
+    """
     with open(path, "r", newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
@@ -249,6 +259,10 @@ def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
                 f"malformed row {','.join(row)!r} in point file {path}: "
                 f"expected numbers in columns {', '.join(header)}"
             ) from None
+        if latlon and not abs(table[i, 0]) <= 90.0:
+            raise DomainError(
+                f"latitude outside [-90, 90] in row {','.join(row)!r} in point file {path}"
+            )
     values = table[:, -1] if has_value else None
     if latlon:
         lat, lon = np.radians(table[:, 0]), np.radians(table[:, 1])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from conftest import STRICT_DEFAULT_SPECS
 
 from spherekernels import (
@@ -19,8 +20,9 @@ from spherekernels import (
     sphere,
 )
 from spherekernels.catalog import evaluate
-from spherekernels.errors import DomainError, ParameterError
-from spherekernels.sphere import pairwise_angles
+from spherekernels.apps import JITTER_LADDER, _chol_with_jitter
+from spherekernels.errors import DomainError, FactorizationError, ParameterError
+from spherekernels.sphere import _gram_matrix, pairwise_angles
 
 
 def _height_data(pts):
@@ -159,6 +161,52 @@ def test_simulation_rejects_invalid_kernel():
     pts = sample_points(2, 5, seed=0)
     with pytest.raises(ParameterError):
         simulate(kernel("matern", c=1.0, nu=2.0), pts, 3, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the jitter ladder
+
+
+def _equator_cosine_gram(scale=1.0):
+    # rank 2: the rows of three equally spaced points sum to zero
+    return scale * _gram_matrix(kernel("cosine"), sample_points(2, 3, "equator"))
+
+
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+def test_singular_gram_takes_the_first_nonzero_rung(scale):
+    K = _equator_cosine_gram(scale)
+    before = K.copy()
+    L, jitter = _chol_with_jitter(K)
+    assert jitter == JITTER_LADDER[1] * scale  # times the mean diagonal
+    assert np.array_equal(L, scipy.linalg.cholesky(K + jitter * np.eye(3), lower=True))
+    assert np.array_equal(K, before)
+
+
+def test_simulate_records_the_jitter_used():
+    field = simulate(kernel("cosine"), sample_points(2, 3, "equator"), 4, seed=2)
+    assert field.jitter_used == 1e-12
+
+
+def test_each_jitter_rung_starts_from_the_unmodified_gram(monkeypatch):
+    K = _equator_cosine_gram()
+    factored = []
+    cholesky = scipy.linalg.cholesky
+
+    def spy(a, **kwargs):
+        factored.append(np.array(a))  # before a rung may factor its input in place
+        return cholesky(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", spy)
+    _chol_with_jitter(K)
+    assert len(factored) == 2  # rung 0 fails, rung 1 succeeds
+    assert np.array_equal(factored[0], K)
+    assert np.array_equal(factored[1], K + 1e-12 * np.eye(3))
+
+
+def test_a_gram_that_fails_every_rung_raises():
+    K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+    with pytest.raises(FactorizationError, match="1e-08"):
+        _chol_with_jitter(K)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from spherekernels import (
     SpherePointSet,
     gram_report,
     great_circle,
+    interpolate_fit,
     kernel,
     read_points,
     sample_points,
+    simulate,
     sphere,
     write_points,
 )
@@ -198,6 +200,39 @@ def test_gram_holds_little_beyond_its_result(family):
     assert peak < 1.5 * gram.nbytes  # 18 MB; psi of the whole distance matrix peaks at 7x
 
 
+def test_gram_evaluates_one_triangle(monkeypatch):
+    monkeypatch.setattr(sphere, "_BLOCK_ENTRIES", 2**15)  # 29-row blocks
+    n = 1100
+    pts = sample_points(2, n, seed=16)
+    spec = kernel("askey")
+    seen = []
+
+    def counting_psi(theta):
+        seen.append(theta.size)
+        return evaluate(spec, theta)
+
+    gram = _gram_matrix(counting_psi, pts)
+    assert sum(seen) <= 0.55 * n * n  # the whole matrix is n^2 values
+    assert np.array_equal(gram, evaluate(spec, pts.distance_matrix()))
+
+
+@pytest.mark.parametrize("use", ["interpolate_fit", "simulate"])
+def test_fit_and_simulate_hold_two_gram_sized_arrays(use):
+    pts = sample_points(2, 1500, seed=6)
+    spec = kernel("matern")
+    tracemalloc.start()
+    try:
+        if use == "interpolate_fit":
+            interpolate_fit(spec, pts, pts.points[:, 2].copy())
+        else:
+            simulate(spec, pts, 32, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the Gram and the work copy that becomes its factor; three copies reach 3x
+    assert peak < 2.5 * pts.n_points**2 * 8
+
+
 def test_gram_detects_indefinite_kernel():
     # a profile too smooth at the origin loses positive definiteness on the
     # circle; dense equally spaced points expose a negative eigenvalue
@@ -267,6 +302,17 @@ def test_value_column_roundtrip(tmp_path):
     back, values = read_points(path)
     assert values == pytest.approx(vals, abs=1e-15)
     assert back.n_points == 11
+
+
+def test_read_points_latitude_range(tmp_path):
+    path = tmp_path / "poles.csv"
+    path.write_text("lat_deg,lon_deg\n90,0\n-90,0\n0,0\n")
+    back, _ = read_points(path)
+    assert np.allclose(back.points[:, 2], [1.0, -1.0, 0.0])
+    for lat in ("100", "-90.000001", "nan"):
+        path.write_text(f"lat_deg,lon_deg\n0,0\n{lat},20\n")
+        with pytest.raises(DomainError, match=f"latitude.*'{lat},20'"):
+            read_points(path)
 
 
 def test_read_points_rejects_unknown_columns(tmp_path):
