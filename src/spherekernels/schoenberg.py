@@ -72,7 +72,7 @@ class SchoenbergSequence:
     d: int
     coeffs: np.ndarray
     quadrature_order: int
-    source: str  # direct_quadrature | recursion | analytic
+    source: str  # direct_quadrature | recursion | a coefficient file's label (unknown if none)
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))

@@ -232,8 +232,8 @@ def write_points(pts: SpherePointSet, path, values: Iterable[float] | None = Non
 def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
     """Read a point CSV; returns the point set and the value column if present.
 
-    A row that is not numeric, or whose ``lat_deg`` lies outside [-90, 90],
-    raises DomainError naming the row.
+    A row that is not numeric, whose ``lat_deg`` lies outside [-90, 90] or
+    whose ``lon_deg`` is not finite raises DomainError naming the row.
     """
     with open(path, "r", newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
@@ -262,6 +262,10 @@ def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
         if latlon and not abs(table[i, 0]) <= 90.0:
             raise DomainError(
                 f"latitude outside [-90, 90] in row {','.join(row)!r} in point file {path}"
+            )
+        if latlon and not math.isfinite(table[i, 1]):
+            raise DomainError(
+                f"longitude not finite in row {','.join(row)!r} in point file {path}"
             )
     values = table[:, -1] if has_value else None
     if latlon:

@@ -41,7 +41,7 @@ from spherekernels import (
     validate_params,
     yadrenko,
 )
-from spherekernels.catalog import breakpoints, euclid_derivative
+from spherekernels.catalog import _MATERN_T_FLOOR, breakpoints, euclid_derivative
 from spherekernels.special import gegenbauer_normalized_table, gegenbauer_one
 from spherekernels.errors import (
     DimensionMismatchError,
@@ -74,6 +74,30 @@ def test_spec_point_values():
     assert evaluate(kernel("sine_power", alpha=1.4), math.pi) == pytest.approx(0.0, abs=1e-15)
     assert evaluate(kernel("matern", c=1, nu=0.5), 2.0) == pytest.approx(math.exp(-2), rel=1e-12)
     assert evaluate(kernel("gaspari_cohn", c=1), 0.5) == pytest.approx(5.0 / 24.0, rel=1e-13)
+
+
+# Matern at nu = 1/2, 3/2, 5/2: psi(t) and phi'(u) with t = theta / c, u = t_euclid / c
+_MATERN_HALF_INTEGER = [
+    (0.5, lambda t: np.exp(-t), lambda u, c: -np.exp(-u) / c),
+    (1.5, lambda t: (1 + t) * np.exp(-t), lambda u, c: -(u / c) * np.exp(-u)),
+    (2.5, lambda t: (1 + t + t * t / 3) * np.exp(-t),
+     lambda u, c: -u * (1 + u) * np.exp(-u) / (3 * c)),
+]
+
+
+@pytest.mark.parametrize("nu, psi, dphi", _MATERN_HALF_INTEGER)
+def test_matern_half_integer_closed_forms(nu, psi, dphi):
+    c = math.pi / 50.0  # theta in [0, pi] reaches t = 50
+    t = np.concatenate([np.geomspace(_MATERN_T_FLOOR, 50.0, 400), np.linspace(0.1, 50.0, 500)])
+    spec = kernel("matern", c=c, nu=nu)
+    theta = np.minimum(t * c, math.pi)
+    assert np.max(np.abs(evaluate(spec, theta) - psi(theta / c))) <= 1e-15
+    assert evaluate(spec, 0.0) == 1.0
+    for scale in (1.0, 0.7):
+        distance = t * scale
+        exact = dphi(distance / scale, scale)
+        got = euclid_derivative(kernel("matern", c=scale, nu=nu), distance)
+        assert np.max(np.abs(got - exact)) <= 1e-15 * np.max(np.abs(exact))
 
 
 def test_dagum_reads_its_tau():

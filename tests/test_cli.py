@@ -192,6 +192,8 @@ _BAD_FILES = [
     ("interp", "--points", "lat_deg,lon_deg,value\n0,0,1.0\n30\n", "'30'"),
     ("interp", "--points", "lat_deg,lon_deg,value\n0,0,1.0\n100,0,2.0\n", "'100,0,2.0'"),
     ("gram", "--points", "lat_deg,lon_deg\n0,0\n-90.5,10\n", "'-90.5,10'"),
+    ("interp", "--points", "lat_deg,lon_deg,value\n0,0,1.0\n10,inf,2.0\n", "'10,inf,2.0'"),
+    ("gram", "--points", "lat_deg,lon_deg\n0,0\n10,nan\n", "'10,nan'"),
     ("gram", "--points", "x0,x1,x2\n1,0,0\nnan,0,1\n", "finite"),
     ("gram", "--points", "x0,x1,x2\n1,0,0\n0,1\n", "'0,1'"),
     ("reconstruct", "--coeffs", "# d=abc\nn,b\n0,1.0\n", "d='abc'"),

@@ -2,13 +2,17 @@
 
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 from conftest import gegenbauer_connection
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
 
+from spherekernels import special
 from spherekernels.errors import DomainError
 from spherekernels.special import (
     bessel_k,
@@ -66,6 +70,51 @@ def _bessel_k_half_integer(half_order, t):
     return cur
 
 
+_PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def _bessel_k_half_integer_40(half_order, t):
+    # the same recurrence as above, in 40-digit decimal arithmetic from an
+    # exact copy of the double t; it does not use the finite sum of DLMF 10.49.12
+    with localcontext() as ctx:
+        ctx.prec = 40
+        x = Decimal(float(t))
+        base = (_PI_40 / (2 * x)).sqrt() * (-x).exp()
+        prev, cur = base, base * (1 + 1 / x)
+        if half_order == 0:
+            return prev
+        for j in range(1, half_order):
+            prev, cur = cur, prev + (2 * j + 1) / x * cur
+        return cur
+
+
+_HALF_INTEGER_T = np.concatenate([np.geomspace(1e-8, 600.0, 300), np.linspace(0.5, 600.0, 300)])
+
+
+@pytest.mark.parametrize("half_order", range(16))
+def test_bessel_k_half_integer_finite_sum(half_order):
+    nu = half_order + 0.5
+    ours = bessel_k(nu, _HALF_INTEGER_T)
+    exact = np.array([float(_bessel_k_half_integer_40(half_order, t)) for t in _HALF_INTEGER_T])
+    kv = scipy_special.kv(nu, _HALF_INTEGER_T)
+    assert np.max(np.abs(ours / exact - 1.0)) <= 2e-15
+    # against scipy: 2e-15 plus scipy's own error (2.7e-15 at n = 10, 4.7e-15 at n = 15)
+    assert np.all(np.abs(ours / kv - 1.0) <= 2e-15 + np.abs(kv / exact - 1.0))
+
+
+def test_bessel_k_calls_scipy_only_off_half_integers(monkeypatch):
+    calls = []
+    kv = special._sp.kv
+    monkeypatch.setattr(special._sp, "kv", lambda nu, t: calls.append(nu) or kv(nu, t))
+    t = np.array([1e-6, 0.5, 3.0])
+    for half_order in range(16):
+        bessel_k(half_order + 0.5, t)
+    assert calls == []
+    bessel_k(0.3, t)
+    bessel_k(16.5, t)
+    assert calls == [0.3, 16.5]
+
+
 @pytest.mark.parametrize("t", [1.0, 2.0])
 def test_bessel_k_half_closed_form(t):
     assert bessel_k(0.5, t) == pytest.approx(math.sqrt(math.pi / (2 * t)) * math.exp(-t), rel=1e-12)
@@ -99,6 +148,11 @@ def test_bessel_k_domain_errors():
         bessel_k(0.5, -2.0)
     with pytest.raises(OverflowError):
         bessel_k(0.5, 1e-40)
+    for nu in (15.5, 20.5):  # the finite sum overflows, and warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                bessel_k(nu, 1e-30)
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,14 @@ def test_read_points_latitude_range(tmp_path):
             read_points(path)
 
 
+def test_read_points_longitude_finite(tmp_path):
+    path = tmp_path / "lon.csv"
+    for lon in ("nan", "inf", "-inf"):
+        path.write_text(f"lat_deg,lon_deg\n0,0\n10,{lon}\n")
+        with pytest.raises(DomainError, match=f"longitude.*'10,{lon}'"):
+            read_points(path)
+
+
 def test_read_points_rejects_unknown_columns(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1,2\n")
