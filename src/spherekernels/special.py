@@ -1,10 +1,11 @@
 """Orthogonal polynomials, modified Bessel functions and Gauss-Legendre rules.
 
 Every Gegenbauer (ultraspherical) evaluation streams one recurrence, row
-by row and two rows held, for the normalized R_n = C_n^lambda(x) / C_n^lambda(1):
+by row in three rotating buffers, for the normalized R_n = C_n^lambda(x) / C_n^lambda(1):
 
     R_0 = 1,  R_1 = x,
-    (n + 2*lambda) R_{n+1} = 2 (n + lambda) x R_n - n R_{n-1}.
+    R_{n+1} = a_n x R_n - b_n R_{n-1},
+    a_n = 2 (n + lambda) / (n + 2 lambda),  b_n = n / (n + 2 lambda).
 
 It keeps every value in [-1, 1], which makes it the numerically preferred
 form for large n.  At lambda = 0 it is the Chebyshev recurrence
@@ -30,6 +31,7 @@ from typing import Iterator
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import special as _sp
+from scipy.linalg.blas import daxpy
 
 from .errors import DomainError
 
@@ -131,13 +133,29 @@ def gegenbauer_one(n: int, lam: float) -> float:
 
 
 def _normalized_rows(n_max: int, lam: float, x: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield R_0(x), ..., R_{n_max}(x) for unchecked x in [-1, 1], two rows held at a time."""
-    prev, cur = np.ones_like(x), x
+    """Yield R_0(x), ..., R_{n_max}(x) for unchecked 1-d float x in [-1, 1].
+
+    Each row is written in place into one of three rotating buffers (a
+    product, a scale and one BLAS axpy), so a yielded row is overwritten
+    two steps later: a caller that keeps a row must copy it.
+    """
+    if x.size == 0:  # BLAS rejects an empty vector, and every row is empty
+        yield from (x for _ in range(n_max + 1))
+        return
+    prev, cur, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
     yield prev
-    for k in range(1, n_max + 1):
+    if n_max == 0:
+        return
+    yield cur
+    k = np.arange(1, n_max)
+    a = (2.0 * (k + lam) / (k + 2.0 * lam)).tolist()
+    b = (k / (k + 2.0 * lam)).tolist()
+    for a_k, b_k in zip(a, b):
+        np.multiply(x, cur, out=nxt)
+        nxt *= a_k
+        nxt = daxpy(prev, nxt, a=-b_k)
+        prev, cur, nxt = cur, nxt, prev
         yield cur
-        if k < n_max:
-            prev, cur = cur, (2.0 * (k + lam) * x * cur - k * prev) / (k + 2.0 * lam)
 
 
 def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
@@ -147,17 +165,17 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
     """
     n_max, arr = _check_poly_args(n_max, lam, x)
     table = np.empty((n_max + 1, arr.size))
-    for k, row in enumerate(_normalized_rows(n_max, lam, arr)):
+    for k, row in enumerate(_normalized_rows(n_max, lam, arr.ravel())):
         table[k] = row
     return table
 
 
 def gegenbauer_normalized(n: int, lam: float, x):
-    """Evaluate C_n^lam(x) / C_n^lam(1), keeping two rows of the recurrence."""
+    """Evaluate C_n^lam(x) / C_n^lam(1), keeping three rows of the recurrence."""
     n, arr = _check_poly_args(n, lam, x)
-    for out in _normalized_rows(n, lam, arr):
+    for out in _normalized_rows(n, lam, arr.ravel()):
         pass
-    return float(out) if arr.ndim == 0 else out
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def gegenbauer(n: int, lam: float, x):

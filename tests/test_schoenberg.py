@@ -116,6 +116,24 @@ def test_projection_does_not_store_the_basis():
     assert peak < 4e6  # a stored 2001 x nodes table takes 67 MB
 
 
+def test_successive_projections_are_bit_identical():
+    spec = kernel("askey", c=1.2, tau=2.5)
+    for d in (1, 3, 5):
+        first = fourier_coeffs(spec, 300) if d == 1 else gegenbauer_coeffs(spec, d, 300)
+        again = fourier_coeffs(spec, 300) if d == 1 else gegenbauer_coeffs(spec, d, 300)
+        assert np.array_equal(first.coeffs, again.coeffs)
+        assert first.quadrature_order == again.quadrature_order
+
+
+def test_cached_rule_and_scale_are_read_only():
+    x, w = _theta_rule((1.0,), 200)
+    assert _theta_rule((1.0,), 200)[0] is x  # memoized
+    for arr in (x, w, _gegenbauer_scale(200, 1), _gegenbauer_scale(200, 3)):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert _gegenbauer_scale(200, 3) is _gegenbauer_scale(200, 3)
+
+
 # ---------------------------------------------------------------------------
 # Gegenbauer (d >= 2) coefficients
 

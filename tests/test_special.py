@@ -234,8 +234,37 @@ def test_lambda_zero_table_is_cosine_basis(thetas):
     assert np.all(np.abs(table - np.cos(np.outer(n, theta))) <= bound)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0])
+def test_recurrence_matches_scipy_oracle(lam):
+    # every degree n <= 2000 against scipy's own evaluation: Chebyshev T_n at
+    # lam = 0, else C_n^lam(x) / C_n^lam(1).  Max errors on this grid:
+    # 6.0e-13, 1.8e-12, 2.4e-12 and 1.3e-12 for lam = 0, 1/2, 1 and 2, at
+    # n > 1500 or at x = -1; the form (n + 2 lam) R_{n+1} = 2 (n + lam) x R_n
+    # - n R_{n-1} meets the same bound (5.1e-13 to 2.3e-12).
+    x = np.cos(np.linspace(0.0, math.pi, 65))
+    n = np.arange(2001)[:, None]
+    if lam == 0.0:
+        oracle = scipy_special.eval_chebyt(n, x)
+    else:
+        oracle = scipy_special.eval_gegenbauer(n, lam, x) / scipy_special.eval_gegenbauer(n, lam, 1.0)
+    assert np.max(np.abs(gegenbauer_normalized_table(2000, lam, x) - oracle)) < 1e-11
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("n", [0, 1, 2, 50])
+def test_single_degree_is_the_table_last_row(n, lam):
+    # one recurrence behind both: bit for bit, for a vector and for a scalar
+    x = np.linspace(-1.0, 1.0, 9)
+    assert np.array_equal(gegenbauer_normalized(n, lam, x), gegenbauer_normalized_table(n, lam, x)[-1])
+    value = gegenbauer_normalized(n, lam, 0.3)
+    assert isinstance(value, float)
+    assert value == gegenbauer_normalized_table(n, lam, 0.3)[-1, 0]
+    assert gegenbauer_normalized(n, lam, np.empty(0)).shape == (0,)
+    assert gegenbauer_normalized_table(n, lam, np.empty(0)).shape == (n + 1, 0)
+
+
 def test_single_degree_keeps_two_rows():
-    # the recurrence is streamed: no (n + 1) x len(x) table behind one degree
+    # the recurrence is streamed: three rows in buffers, no (n + 1) x len(x) table
     x = np.linspace(-1.0, 1.0, 2000)
     tracemalloc.start()
     try:
