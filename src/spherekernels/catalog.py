@@ -563,11 +563,22 @@ def validate_params(spec: KernelSpec, d) -> ValidityVerdict:
 
 
 def _check_theta(theta) -> np.ndarray:
-    """The angle gate: theta in [0, pi] within 1e-12, clipped; NaN fails."""
+    """The angle gate: theta in [0, pi] within 1e-12, clipped; NaN fails.
+
+    One min/max pass decides; a NaN fails both comparisons.  The array is
+    copied and clipped only when a value lies in the 1e-12 slack, so the
+    result may be the caller's own array: no psi and no caller of this gate
+    writes into it.
+    """
     arr = np.asarray(theta, dtype=float)
-    if not (np.all(arr >= -1e-12) and np.all(arr <= math.pi + 1e-12)):
+    if arr.size == 0:
+        return arr
+    lo, hi = arr.min(), arr.max()
+    if not (lo >= -1e-12 and hi <= math.pi + 1e-12):
         raise DomainError("great circle distance must lie in [0, pi]")
-    return np.clip(arr, 0.0, math.pi)
+    if lo < 0.0 or hi > math.pi:
+        return np.clip(arr, 0.0, math.pi)
+    return arr
 
 
 def _check_distance(t) -> np.ndarray:

@@ -59,16 +59,31 @@ def _thetas(args) -> np.ndarray:
     return _parse_grid(args.grid, args.degrees)
 
 
-def _emit(table: list[dict], fmt: str) -> None:
+def _column(values) -> list[str]:
+    """``_fmt`` of every entry of a 1-d array, in one pass."""
+    return list(map(repr, np.asarray(values, dtype=float).tolist()))
+
+
+def _emit(header: list[str], rows, fmt: str) -> None:
+    """Write a table given by its header and an iterable of rows.
+
+    CSV is the excel dialect with a header line; JSON is a list of one
+    object per row.  An empty table writes nothing as CSV and ``[]`` as JSON.
+    """
+    rows = list(rows)
     if fmt == "json":
-        json.dump(table, sys.stdout, indent=2, default=str)
+        json.dump([dict(zip(header, row)) for row in rows], sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
         return
-    if not table:
+    if not rows:
         return
-    writer = csv.DictWriter(sys.stdout, fieldnames=list(table[0].keys()))
-    writer.writeheader()
-    writer.writerows(table)
+    writer = csv.writer(sys.stdout)
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _emit_row(row: dict, fmt: str) -> None:
+    _emit(list(row), [list(row.values())], fmt)
 
 
 def _note_jitter(jitter_used: float) -> None:
@@ -84,11 +99,12 @@ def _points_from_args(args) -> sphere.SpherePointSet:
 
 
 def _cmd_list(args, spec) -> None:
-    _emit(catalog.list_families(), args.format)
+    families = catalog.list_families()
+    _emit(list(families[0]), [list(row.values()) for row in families], args.format)
 
 
 def _emit_values(thetas: np.ndarray, values: np.ndarray, fmt: str) -> None:
-    _emit([{"theta_rad": _fmt(t), "value": _fmt(v)} for t, v in zip(thetas, values)], fmt)
+    _emit(["theta_rad", "value"], zip(_column(thetas), _column(values)), fmt)
 
 
 def _cmd_eval(args, spec) -> None:
@@ -158,7 +174,7 @@ def _cmd_member(args, spec) -> None:
         "even_positive": verdict.strict_evidence.even_count,
         "odd_positive": verdict.strict_evidence.odd_count,
     }
-    _emit([row], args.format)
+    _emit_row(row, args.format)
 
 
 def _cmd_criteria(args, spec) -> None:
@@ -175,7 +191,7 @@ def _cmd_criteria(args, spec) -> None:
         "violations": ";".join(f"{v:.6g}" for v in report.violations),
         "grid_size": report.grid_size,
     }
-    _emit([row], args.format)
+    _emit_row(row, args.format)
 
 
 def _cmd_gram(args, spec) -> None:
@@ -188,7 +204,7 @@ def _cmd_gram(args, spec) -> None:
         "psd": report.psd,
         "tolerance_used": _fmt(report.tolerance_used),
     }
-    _emit([row], args.format)
+    _emit_row(row, args.format)
 
 
 def _cmd_interp(args, spec) -> None:
@@ -199,24 +215,17 @@ def _cmd_interp(args, spec) -> None:
     _note_jitter(interp.jitter_used)
     targets = sphere.read_points(args.eval_points)[0] if args.eval_points else nodes
     preds = apps.interpolate_eval(interp, targets.points)
-    rows = []
-    for p, v in zip(targets.points, preds):
-        row = {f"x{i}": _fmt(c) for i, c in enumerate(p)}
-        row["prediction"] = _fmt(v)
-        rows.append(row)
-    _emit(rows, args.format)
+    header = [f"x{i}" for i in range(targets.d + 1)] + ["prediction"]
+    _emit(header, zip(*map(_column, targets.points.T), _column(preds)), args.format)
 
 
 def _cmd_simulate(args, spec) -> None:
     pts = _points_from_args(args)
     sample = apps.simulate(spec, pts, args.samples, seed=args.seed)
     _note_jitter(sample.jitter_used)
-    rows = []
-    for i, draw in enumerate(sample.values):
-        row = {"draw": i}
-        row.update({f"v{j}": _fmt(v) for j, v in enumerate(draw)})
-        rows.append(row)
-    _emit(rows, args.format)
+    header = ["draw"] + [f"v{j}" for j in range(pts.n_points)]
+    draws = range(sample.values.shape[0])
+    _emit(header, zip(draws, *map(_column, sample.values.T)), args.format)
 
 
 def _cmd_fractal(args, spec) -> None:
@@ -227,28 +236,16 @@ def _cmd_fractal(args, spec) -> None:
         n_grid=args.n_grid,
     )
     theory = catalog.fractal_index_theoretical(spec)
-    _emit(
-        [
-            {
-                "estimate": _fmt(estimate),
-                "theoretical": "-" if theory is None else _fmt(theory),
-            }
-        ],
-        args.format,
-    )
+    row = {"estimate": _fmt(estimate), "theoretical": "-" if theory is None else _fmt(theory)}
+    _emit_row(row, args.format)
 
 
 def _cmd_localize(args, spec) -> None:
     c = _angle(args.c, args.degrees)
     grid = _parse_grid(args.grid, args.degrees) if args.grid else np.linspace(0.0, math.pi, 361)
     table = apps.localization_compare(c, grid)
-    _emit(
-        [
-            {"theta_rad": _fmt(t), "psi1_chordal": _fmt(a), "psi2_great_circle": _fmt(b)}
-            for t, a, b in table
-        ],
-        args.format,
-    )
+    header = ["theta_rad", "psi1_chordal", "psi2_great_circle"]
+    _emit(header, zip(*map(_column, table.T)), args.format)
 
 
 def _cmd_reconstruct(args, spec) -> None:

@@ -15,6 +15,7 @@ values are mirrored into the upper triangle.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -113,9 +114,16 @@ def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Computed through the chordal length, 2 arcsin(||x - y|| / 2), which
     stays accurate for nearly coincident points where arccos of the inner
     product loses half the digits (and rough kernels amplify the loss).
+    Every step works in place on ``cdist``'s output: a chord is never
+    negative, so capping it at 1 is the whole clip, and scaling by a power
+    of two is exact.
     """
-    half_chord = cdist(a, b) / 2.0
-    return 2.0 * np.arcsin(np.clip(half_chord, 0.0, 1.0, out=half_chord), out=half_chord)
+    h = cdist(a, b)
+    h *= 0.5
+    np.minimum(h, 1.0, out=h)
+    np.arcsin(h, out=h)
+    h *= 2.0
+    return h
 
 
 def sample_points(d: int, n: int, scheme: str = "uniform_random", seed=None) -> SpherePointSet:
@@ -232,8 +240,11 @@ def write_points(pts: SpherePointSet, path, values: Iterable[float] | None = Non
 def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
     """Read a point CSV; returns the point set and the value column if present.
 
-    A row that is not numeric, whose ``lat_deg`` lies outside [-90, 90] or
-    whose ``lon_deg`` is not finite raises DomainError naming the row.
+    The header is ``lat_deg,lon_deg`` or ``x0,...,xd``, optionally followed
+    by ``value``, and every data row has exactly one cell per header column.
+    A row of another width, a cell that is not a number, a ``lat_deg``
+    outside [-90, 90] or a ``lon_deg`` that is not finite raises DomainError
+    naming the first such row in file order.
     """
     with open(path, "r", newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
@@ -241,36 +252,53 @@ def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
     if not rows:
         raise DomainError(f"no rows in point file {path}")
     header = [h.strip().lower() for h in rows[0]]
-    has_value = header and header[-1] == "value"
+    has_value = header[-1] == "value"
     coord_names = header[:-1] if has_value else header
-    latlon = coord_names[:2] == ["lat_deg", "lon_deg"]
+    latlon = coord_names == ["lat_deg", "lon_deg"]
     if not latlon and not all(name == f"x{i}" for i, name in enumerate(coord_names)):
         raise DomainError(
-            f"unrecognized point columns {header}: expected lat_deg,lon_deg or x0..xd"
+            f"unrecognized point columns {header}: "
+            "expected lat_deg,lon_deg or x0..xd, optionally followed by value"
         )
-    n_coords = 2 if latlon else len(coord_names)
-    columns = list(range(n_coords)) + ([len(header) - 1] if has_value else [])
-    table = np.empty((len(rows) - 1, len(columns)))
-    for i, row in enumerate(rows[1:]):
-        try:
-            table[i] = [float(row[c]) for c in columns]
-        except (ValueError, IndexError):
-            raise DomainError(
-                f"malformed row {','.join(row)!r} in point file {path}: "
-                f"expected numbers in columns {', '.join(header)}"
-            ) from None
-        if latlon and not abs(table[i, 0]) <= 90.0:
-            raise DomainError(
-                f"latitude outside [-90, 90] in row {','.join(row)!r} in point file {path}"
-            )
-        if latlon and not math.isfinite(table[i, 1]):
-            raise DomainError(
-                f"longitude not finite in row {','.join(row)!r} in point file {path}"
-            )
+    data = rows[1:]
+    width = len(header)
+    if not set(map(len, data)) <= {width}:
+        raise _first_bad_row(data, header, latlon, path)
+    cells = itertools.chain.from_iterable(data)
+    try:
+        table = np.fromiter(map(float, cells), float, count=len(data) * width)
+    except ValueError:
+        raise _first_bad_row(data, header, latlon, path) from None
+    table = table.reshape(len(data), width)
+    if latlon and not (np.all(np.abs(table[:, 0]) <= 90.0) and np.all(np.isfinite(table[:, 1]))):
+        raise _first_bad_row(data, header, latlon, path)
     values = table[:, -1] if has_value else None
     if latlon:
         lat, lon = np.radians(table[:, 0]), np.radians(table[:, 1])
         pts = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
     else:
-        pts = table[:, :n_coords]
+        pts = table[:, : len(coord_names)]
     return SpherePointSet(pts), values
+
+
+def _first_bad_row(data: list[list[str]], header: list[str], latlon: bool, path) -> DomainError:
+    """The error for the first row ``read_points`` rejects, in file order."""
+    for row in data:
+        text = ",".join(row)
+        if len(row) != len(header):
+            return DomainError(
+                f"malformed row {text!r} in point file {path}: "
+                f"{len(row)} cells, expected one per column {', '.join(header)}"
+            )
+        try:
+            cells = [float(c) for c in row]
+        except ValueError:
+            return DomainError(
+                f"malformed row {text!r} in point file {path}: "
+                f"expected numbers in columns {', '.join(header)}"
+            )
+        if latlon and not abs(cells[0]) <= 90.0:
+            return DomainError(f"latitude outside [-90, 90] in row {text!r} in point file {path}")
+        if latlon and not math.isfinite(cells[1]):
+            return DomainError(f"longitude not finite in row {text!r} in point file {path}")
+    return DomainError(f"malformed point file {path}")

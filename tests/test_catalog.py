@@ -41,7 +41,12 @@ from spherekernels import (
     validate_params,
     yadrenko,
 )
-from spherekernels.catalog import _MATERN_T_FLOOR, breakpoints, euclid_derivative
+from spherekernels.catalog import (
+    _MATERN_T_FLOOR,
+    _check_theta,
+    breakpoints,
+    euclid_derivative,
+)
 from spherekernels.special import gegenbauer_normalized_table, gegenbauer_one
 from spherekernels.errors import (
     DimensionMismatchError,
@@ -518,6 +523,60 @@ def test_angle_gate_allows_the_same_slack_everywhere():
     table = localization_compare(1.0, grid)
     assert table[0, 0] == 0.0 and table[-1, 0] == math.pi
     assert np.array_equal(table[:, 2], evaluate(kernel("gaspari_cohn", c=1.0), grid))
+
+
+_GATE_GRID = np.linspace(0.0, math.pi, 257)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+def test_evaluate_never_writes_its_argument(spec):
+    theta = _GATE_GRID.copy()
+    want = evaluate(spec, theta)
+    assert np.array_equal(theta, _GATE_GRID)
+    theta.setflags(write=False)
+    assert np.array_equal(evaluate(spec, theta), want)
+    assert np.array_equal(theta, _GATE_GRID)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+def test_angle_gate_clips_the_slack_to_the_end_points(spec):
+    slack = np.array([-1e-12, -1e-13, 1.0, math.pi + 1e-13, math.pi + 1e-12])
+    ends = np.array([0.0, 0.0, 1.0, math.pi, math.pi])
+    assert np.array_equal(evaluate(spec, slack), evaluate(spec, ends))
+    assert evaluate(spec, -1e-12) == 1.0
+    assert evaluate(spec, math.pi + 1e-12) == evaluate(spec, math.pi)
+
+
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("bad", [math.nan, -2e-12, math.pi + 2e-12, math.inf, -math.inf])
+def test_angle_gate_rejects_nan_and_angles_beyond_the_slack(spec, bad):
+    with pytest.raises(DomainError):
+        evaluate(spec, bad)
+    with pytest.raises(DomainError):
+        evaluate(spec, np.array([[0.5, 1.0], [bad, 2.0]]))
+
+
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+def test_angle_gate_keeps_empty_and_scalar_results(spec):
+    for empty in ([], np.empty((0, 3))):
+        out = evaluate(spec, empty)
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert out.shape == np.shape(empty)
+    row = evaluate(spec, np.array([0.0, 0.5, math.pi]))
+    for i, scalar in enumerate((0.0, np.float64(0.5), np.array(math.pi))):
+        out = evaluate(spec, scalar)
+        assert type(out) is float and out == row[i]
+    assert row[0] == 1.0
+
+
+def test_angle_gate_hands_back_an_in_range_array_and_clips_a_copy():
+    theta = np.linspace(0.0, math.pi, 9)
+    assert _check_theta(theta) is theta
+    theta[0], theta[-1] = -1e-13, math.pi + 1e-13
+    clipped = _check_theta(theta)
+    assert clipped is not theta and theta[0] == -1e-13
+    assert clipped[0] == 0.0 and clipped[-1] == math.pi
+    assert np.array_equal(clipped[1:-1], theta[1:-1])
 
 
 def test_euclid_derivative_matches_finite_differences():

@@ -12,7 +12,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spherekernels import sample_points, write_points
+from spherekernels import (
+    gram_report,
+    interpolate_eval,
+    interpolate_fit,
+    localization_compare,
+    membership,
+    parse_kernel,
+    read_points,
+    reconstruct,
+    sample_points,
+    simulate,
+    write_points,
+)
+from spherekernels.catalog import evaluate
+from spherekernels.schoenberg import from_csv
 from spherekernels.cli import main
 
 
@@ -284,3 +298,80 @@ def test_json_mirrors_csv_fields(capsys):
     csv_fields = set(_rows(out_csv)[0].keys())
     json_fields = set(json.loads(out_json)[0].keys())
     assert csv_fields == json_fields
+
+
+
+def _reference_emit(table: list[dict], fmt: str) -> str:
+    """A table as the verbs wrote it row by row: dicts through csv.DictWriter or json.dump."""
+    sink = io.StringIO()
+    if fmt == "json":
+        json.dump(table, sink, indent=2, default=str)
+        sink.write("\n")
+    elif table:
+        writer = csv.DictWriter(sink, fieldnames=list(table[0].keys()))
+        writer.writeheader()
+        writer.writerows(table)
+    return sink.getvalue()
+
+
+def _f(x) -> str:
+    return repr(float(x))
+
+
+def _reference_cases(tmp_path, capsys) -> list[tuple[list[str], list[dict]]]:
+    """(argv, table) per verb, each table built from the library calls the verb wraps."""
+    nodes = sample_points(2, 30, seed=5)
+    node_file, query_file, coeff_file = (str(tmp_path / n) for n in ("n.csv", "q.csv", "c.csv"))
+    write_points(nodes, node_file, values=np.sin(3.0 * nodes.points[:, 0]))
+    write_points(sample_points(2, 20, seed=6), query_file)
+    matern = "matern:c=0.8,nu=0.5"
+    spec = parse_kernel(matern)
+    _, out, _ = _run(capsys, "coeffs", "--kernel", matern, "--dim", "2", "--n", "30")
+    Path(coeff_file).write_text(out)
+    grid = np.linspace(0.0, 3.0, 9)
+
+    def interp_table(targets):
+        preds = interpolate_eval(interpolate_fit(spec, *read_points(node_file)), targets.points)
+        return [{**{f"x{i}": _f(c) for i, c in enumerate(p)}, "prediction": _f(v)}
+                for p, v in zip(targets.points, preds)]
+
+    def value_table(values):
+        return [{"theta_rad": _f(t), "value": _f(v)} for t, v in zip(grid, values)]
+
+    sample = simulate(spec, sample_points(2, 12, seed=4), 3, seed=4)
+    verdict = membership(parse_kernel("cosine"), 3, 60, tol_fail=1e-6, tail_tol=1e-3, strict=True)
+    report = gram_report(parse_kernel("matern"), sample_points(2, 15, seed=1), tol=1e-8)
+    return [
+        (["interp", "--kernel", matern, "--points", node_file],
+         interp_table(read_points(node_file)[0])),
+        (["interp", "--kernel", matern, "--points", node_file, "--eval-points", query_file],
+         interp_table(read_points(query_file)[0])),
+        (["simulate", "--kernel", matern, "--n-points", "12", "--samples", "3", "--seed", "4"],
+         [{"draw": i, **{f"v{j}": _f(v) for j, v in enumerate(draw)}}
+          for i, draw in enumerate(sample.values)]),
+        (["eval", "--kernel", matern, "--grid", "0:3:9"], value_table(evaluate(spec, grid))),
+        (["reconstruct", "--coeffs", coeff_file, "--grid", "0:3:9"],
+         value_table(reconstruct(from_csv(coeff_file), grid))),
+        (["localize", "--c", "1.2", "--grid", "0:3:13"],
+         [{"theta_rad": _f(t), "psi1_chordal": _f(a), "psi2_great_circle": _f(b)}
+          for t, a, b in localization_compare(1.2, np.linspace(0.0, 3.0, 13))]),
+        (["member", "--kernel", "cosine", "--dim", "3", "--n", "60", "--strict"],
+         [{"verdict": verdict.verdict, "dim": verdict.d, "n_max": verdict.n_max,
+           "min_coeff": _f(verdict.min_coeff), "min_index": verdict.min_index,
+           "tail_mass": _f(verdict.tail_mass),
+           "witnesses": ";".join(f"{n}:{b:.3e}" for n, b in verdict.witnesses),
+           "even_positive": verdict.strict_evidence.even_count,
+           "odd_positive": verdict.strict_evidence.odd_count}]),
+        (["gram", "--kernel", "matern", "--n-points", "15", "--seed", "1"],
+         [{"n_points": report.n_points, "min_eigenvalue": _f(report.min_eigenvalue),
+           "max_eigenvalue": _f(report.max_eigenvalue), "psd": report.psd,
+           "tolerance_used": _f(report.tolerance_used)}]),
+    ]
+
+
+def test_columnar_output_is_byte_identical_to_row_dicts(capsys, tmp_path):
+    for argv, table in _reference_cases(tmp_path, capsys):
+        for fmt in ("csv", "json"):
+            code, out, _ = _run(capsys, *argv, "--format", fmt)
+            assert code == 0, argv
+            assert out == _reference_emit(table, fmt), (argv, fmt)

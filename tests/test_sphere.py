@@ -8,6 +8,7 @@ import pytest
 from conftest import DEFAULT_SPECS, STRICT_DEFAULT_SPECS
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from spherekernels import (
     SpherePointSet,
@@ -328,3 +329,72 @@ def test_read_points_rejects_unknown_columns(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(DomainError):
         read_points(path)
+
+
+def test_read_points_names_a_non_numeric_cell_and_a_short_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    for text, named in (
+        ("lat_deg,lon_deg\n0,0\n10,abc\n", "malformed row '10,abc'.*expected numbers"),
+        ("x0,x1,x2\n1,0,0\n0,x,1\n", "malformed row '0,x,1'"),
+        ("lat_deg,lon_deg,value\n0,0,1\n10,20\n", "malformed row '10,20'.*2 cells"),
+        ("x0,x1,x2\n1,0,0\n0,1\n", "malformed row '0,1'.*2 cells"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DomainError, match=named):
+            read_points(path)
+
+
+def test_read_points_rejects_extra_cells_and_columns(tmp_path):
+    path = tmp_path / "wide.csv"
+    for text, named in (
+        ("lat_deg,lon_deg,elevation\n10,20,5\n", "unrecognized point columns"),
+        ("lat_deg,lon_deg,value,extra\n10,20,1,2\n", "unrecognized point columns"),
+        ("lat_deg,lon_deg\n0,0\n10,20,999\n", "malformed row '10,20,999'.*3 cells"),
+        ("x0,x1,x2\n0,1,0\n1,0,0,7\n", "malformed row '1,0,0,7'.*4 cells"),
+        ("lat_deg,lon_deg,value\n0,0,1\n10,20,1,99\n", "malformed row '10,20,1,99'.*4 cells"),
+    ):
+        path.write_text(text)
+        with pytest.raises(DomainError, match=named):
+            read_points(path)
+
+
+def test_read_points_names_the_first_bad_row_in_file_order(tmp_path):
+    path = tmp_path / "two.csv"
+    rows = ["0,0", "95,10", "20,30", "-10,40", "abc,50", "30,60,7"]
+    path.write_text("lat_deg,lon_deg\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DomainError, match="latitude.*'95,10'"):
+        read_points(path)
+    rows[1] = "15,10"
+    path.write_text("lat_deg,lon_deg\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DomainError, match="malformed row 'abc,50'"):
+        read_points(path)
+    for rows, named in ((["0,0", "10,20,5", "95,0"], "malformed row '10,20,5'"),
+                        (["0,0", "95,0", "10,20,5"], "latitude.*'95,0'")):
+        path.write_text("lat_deg,lon_deg\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DomainError, match=named):
+            read_points(path)
+
+
+def test_read_points_reads_what_write_points_wrote_to_the_bit(tmp_path):
+    pts = sample_points(4, 40, seed=12)
+    vals = np.random.default_rng(0).standard_normal(40)
+    path = tmp_path / "raw.csv"
+    write_points(pts, path, values=vals)
+    back, values = read_points(path)
+    assert np.array_equal(values, vals)
+    assert np.array_equal(back.points, SpherePointSet(pts.points).points)
+
+
+def _angles_by_clip(a, b):
+    return 2.0 * np.arcsin(np.clip(cdist(a, b) / 2.0, 0.0, 1.0))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_pairwise_angles_is_the_clipped_chord_formula_to_the_bit(d):
+    rng = np.random.default_rng(d)
+    a = sample_points(d, 60, seed=d).points
+    b = sample_points(d, 45, seed=d + 10).points
+    near = a + 1e-9 * rng.standard_normal(a.shape)
+    near /= np.linalg.norm(near, axis=1)[:, None]
+    for x, y in ((a, b), (a, a), (a, near), (a, -a), (b[:1], a)):
+        assert np.array_equal(pairwise_angles(x, y), _angles_by_clip(x, y))
