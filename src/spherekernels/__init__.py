@@ -55,9 +55,7 @@ from .special import (
     QuadratureRule,
     bessel_k,
     gauss_legendre,
-    gegenbauer,
     gegenbauer_normalized,
-    legendre,
 )
 from .sphere import (
     GramReport,

@@ -213,10 +213,13 @@ def _cmd_interp(args, spec) -> None:
         raise SphereKernelsError(f"point file {args.points} needs a trailing 'value' column")
     interp = apps.interpolate_fit(spec, nodes, values, ridge=args.ridge)
     _note_jitter(interp.jitter_used)
-    targets = sphere.read_points(args.eval_points)[0] if args.eval_points else nodes
-    preds = apps.interpolate_eval(interp, targets.points)
-    header = [f"x{i}" for i in range(targets.d + 1)] + ["prediction"]
-    _emit(header, zip(*map(_column, targets.points.T), _column(preds)), args.format)
+    targets = nodes.points
+    if args.eval_points:  # targets may repeat, so they are not a SpherePointSet
+        raw, _ = sphere._read_point_table(args.eval_points)
+        targets = raw / sphere._unit_norms(raw)[:, None]
+    preds = apps.interpolate_eval(interp, targets)
+    header = [f"x{i}" for i in range(targets.shape[1])] + ["prediction"]
+    _emit(header, zip(*map(_column, targets.T), _column(preds)), args.format)
 
 
 def _cmd_simulate(args, spec) -> None:

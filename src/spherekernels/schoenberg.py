@@ -127,7 +127,6 @@ class MembershipVerdict:
     tol_pass: float
     tail_tol: float
     strict_evidence: StrictnessEvidence
-    monotonicity: dict | None = None  # cosine-sequence diagnostics when d == 3
     sequence: SchoenbergSequence = field(repr=False, default=None)  # type: ignore[assignment]
 
 
@@ -161,11 +160,12 @@ def _piece_rule(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]
 
 @lru_cache(maxsize=8)
 def _theta_rule(breaks: tuple[float, ...], n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights on [0, pi], panels split at the interior ``breaks``.
+    """Read-only nodes and weights on [0, pi], panels split at ``breaks``.
 
+    ``breaks`` must be sorted and inside (0, pi), as ``catalog.as_psi`` returns them.
     Memoized: one rule at n_max = 2000 holds about 4200 nodes (67 KB).
     """
-    edges = [0.0] + sorted(t for t in breaks if 0.0 < t < math.pi) + [math.pi]
+    edges = [0.0, *breaks, math.pi]
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
         x, w = _piece_rule(a, b, n_max)
@@ -363,10 +363,7 @@ def membership(
     otherwise.  With ``strict=True`` a PASS additionally requires strictness
     evidence: strictly positive coefficients at ten or more even and ten or
     more odd indices (d >= 2), or the arithmetic-progression condition
-    (d = 1).  When d = 3 the verdict also carries the cosine-sequence
-    monotonicity diagnostics (b_{2,1} <= 2 b_{0,1} and b_{n+2,1} <= b_{n,1}),
-    read from the S^3 coefficients through b_{0,3} = b_{0,1} - b_{2,1}/2 and
-    b_{n,3} = (n+1)(b_{n,1} - b_{n+2,1})/2 with a cosine-side slack of 1e-12.
+    (d = 1).
     """
     d = _check_count("d", d, 1, DimensionMismatchError)
     if n_max is None:
@@ -398,17 +395,6 @@ def membership(
     else:
         verdict = "INCONCLUSIVE"
 
-    mono = None
-    if d == 3:
-        slack = 1e-12
-        n = np.arange(1, n_max + 1)
-        violations = n[b[1:] < -0.5 * slack * (n + 1)]
-        mono = {
-            "b2_le_2b0": bool(b[0] >= -0.5 * slack),
-            "pairs_nonincreasing": violations.size == 0,
-            "violations": tuple(int(v) for v in violations[:10]),
-        }
-
     return MembershipVerdict(
         verdict=verdict,
         d=d,
@@ -422,7 +408,6 @@ def membership(
         tol_pass=tol_pass,
         tail_tol=tail_tol,
         strict_evidence=evidence,
-        monotonicity=mono,
         sequence=seq,
     )
 

@@ -10,9 +10,7 @@ by row in three rotating buffers, for the normalized R_n = C_n^lambda(x) / C_n^l
 It keeps every value in [-1, 1], which makes it the numerically preferred
 form for large n.  At lambda = 0 it is the Chebyshev recurrence
 R_{n+1} = 2 x R_n - R_{n-1}, so R_n(cos theta) = cos(n theta) is the
-cosine basis of the circle.  The classical C_n^lambda is R_n scaled by
-C_n^lambda(1) (taken as 1 at lambda = 0), and the Legendre polynomials
-are the lambda = 1/2 case.  The (n + 1) x len(x) table is built from the stream.
+cosine basis of the circle.  The (n + 1) x len(x) table is built from the stream.
 
 Every integer count in the package (degrees, orders, dimensions, sizes)
 passes one gate, ``_check_count``: an integer >= its floor, where an
@@ -40,11 +38,8 @@ __all__ = [
     "BESSEL_K_MIN_T",
     "bessel_k",
     "gauss_legendre",
-    "gegenbauer",
     "gegenbauer_normalized",
     "gegenbauer_normalized_table",
-    "gegenbauer_one",
-    "legendre",
 ]
 
 # Arguments below this floor signal overflow instead of evaluating K_nu.
@@ -121,17 +116,6 @@ def _check_poly_args(n: int, lam: float, x) -> tuple[int, np.ndarray]:
     return n, np.clip(arr, -1.0, 1.0)
 
 
-def gegenbauer_one(n: int, lam: float) -> float:
-    """C_n^lam(1) = Gamma(n + 2 lam) / (n! Gamma(2 lam)); equals 1 when lam = 0."""
-    n, _ = _check_poly_args(n, lam, 1.0)
-    if lam == 0.0:
-        return 1.0
-    value = 1.0
-    for k in range(1, n + 1):
-        value *= (k - 1 + 2.0 * lam) / k
-    return value
-
-
 def _normalized_rows(n_max: int, lam: float, x: np.ndarray) -> Iterator[np.ndarray]:
     """Yield R_0(x), ..., R_{n_max}(x) for unchecked 1-d float x in [-1, 1].
 
@@ -176,20 +160,6 @@ def gegenbauer_normalized(n: int, lam: float, x):
     for out in _normalized_rows(n, lam, arr.ravel()):
         pass
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def gegenbauer(n: int, lam: float, x):
-    """Evaluate C_n^lam(x) for x in [-1, 1], lam >= 0.
-
-    For lam = 0 returns cos(n * arccos x), the continuous limit used for
-    expansions on the circle.
-    """
-    return gegenbauer_one(n, lam) * gegenbauer_normalized(n, lam, x)
-
-
-def legendre(n: int, x):
-    """Legendre polynomial P_n(x) = C_n^{1/2}(x), which is already normalized."""
-    return gegenbauer_normalized(n, 0.5, x)
 
 
 def bessel_k(nu: float, t):

@@ -246,11 +246,18 @@ def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
     outside [-90, 90] or a ``lon_deg`` that is not finite raises DomainError
     naming the first such row in file order.
     """
+    pts, values = _read_point_table(path)
+    return SpherePointSet(pts), values
+
+
+def _read_point_table(path) -> tuple[np.ndarray, np.ndarray | None]:
+    """The unnormalized coordinates and the value column of a point CSV, as
+    ``read_points`` checks them, from at least one data row; points may repeat."""
     with open(path, "r", newline="", encoding="utf8") as fh:
         reader = csv.reader(fh)
         rows = [row for row in reader if row and not row[0].lstrip().startswith("#")]
-    if not rows:
-        raise DomainError(f"no rows in point file {path}")
+    if len(rows) < 2:
+        raise DomainError(f"no data rows in point file {path}")
     header = [h.strip().lower() for h in rows[0]]
     has_value = header[-1] == "value"
     coord_names = header[:-1] if has_value else header
@@ -278,7 +285,7 @@ def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
         pts = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
     else:
         pts = table[:, : len(coord_names)]
-    return SpherePointSet(pts), values
+    return pts, values
 
 
 def _first_bad_row(data: list[list[str]], header: list[str], latlon: bool, path) -> DomainError:

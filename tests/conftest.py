@@ -3,9 +3,9 @@
 import math
 
 import numpy as np
+from scipy.special import eval_gegenbauer
 
 from spherekernels import kernel
-from spherekernels.special import gegenbauer
 
 # One spec per family at catalog defaults.
 DEFAULT_SPECS = [kernel(name) for name in (
@@ -101,6 +101,7 @@ def gegenbauer_connection(n, lam, nu, x):
 
     Valid for lam > nu > 0; an oracle for the recurrence (the connection
     coefficients are positive, which is the strict-positivity argument).
+    The C^nu terms are scipy's, independent of the package.
     """
     assert lam > nu > 0, "connection sum needs lam > nu > 0"
     pref = math.gamma(nu) / (math.gamma(lam) * math.gamma(lam - nu))
@@ -113,5 +114,5 @@ def gegenbauer_connection(n, lam, nu, x):
             * math.gamma(n - k + lam)
             / (math.factorial(k) * math.gamma(n - k + nu + 1))
         )
-        total += coeff * gegenbauer(n - 2 * k, nu, arr)
+        total += coeff * eval_gegenbauer(n - 2 * k, nu, arr)
     return pref * total

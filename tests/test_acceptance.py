@@ -15,6 +15,7 @@ from conftest import (
     STRICT_DEFAULT_SPECS,
     gegenbauer_connection,
 )
+from scipy import special as scipy_special
 
 from spherekernels import (
     estimate_fractal_index,
@@ -38,7 +39,7 @@ from spherekernels.schoenberg import (
     walk_1_to_3,
     walk_d_to_d2,
 )
-from spherekernels.special import gegenbauer
+from spherekernels.special import gegenbauer_normalized
 
 PI = math.pi
 
@@ -112,6 +113,11 @@ def test_criterion_03_validity_sweep():
     _report(3, "validity sweep", all_pass and all_fail and elapsed < 120.0)
 
 
+def _gegenbauer(n, lam, x):
+    # the package's normalized recurrence times C_n^lam(1) = binom(n + 2 lam - 1, n)
+    return gegenbauer_normalized(n, lam, x) * scipy_special.binom(n + 2 * lam - 1, n)
+
+
 def test_criterion_04_gegenbauer_identities():
     theta = np.linspace(0.0, PI, 50)
     worst_gen = 0.0
@@ -122,12 +128,12 @@ def test_criterion_04_gegenbauer_identities():
                 n_terms += 1
             total = np.zeros_like(theta)
             for n in range(n_terms + 1):
-                total += r**n * gegenbauer(n, lam, np.cos(theta))
+                total += r**n * _gegenbauer(n, lam, np.cos(theta))
             closed = (1.0 + r * r - 2.0 * r * np.cos(theta)) ** (-lam)
             worst_gen = max(worst_gen, float(np.abs(total - closed).max()))
     worst_rel = 0.0
     for n in range(7):
-        direct = gegenbauer(n, 1.5, np.cos(theta))
+        direct = _gegenbauer(n, 1.5, np.cos(theta))
         expanded = gegenbauer_connection(n, 1.5, 0.5, np.cos(theta))
         worst_rel = max(worst_rel, float(np.abs(direct - expanded).max()))
     print(f"    generating function: {worst_gen:.2e}; connection sum: {worst_rel:.2e}")

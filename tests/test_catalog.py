@@ -18,7 +18,6 @@ from spherekernels import (
     fourier_coeffs,
     fractal_index_theoretical,
     gauss_legendre,
-    gegenbauer,
     gegenbauer_coeffs,
     gegenbauer_normalized,
     gram_report,
@@ -26,7 +25,6 @@ from spherekernels import (
     interpolate_eval,
     interpolate_fit,
     kernel,
-    legendre,
     legendre_from_fourier,
     localization_compare,
     membership,
@@ -47,7 +45,7 @@ from spherekernels.catalog import (
     breakpoints,
     euclid_derivative,
 )
-from spherekernels.special import gegenbauer_normalized_table, gegenbauer_one
+from spherekernels.special import gegenbauer_normalized_table
 from spherekernels.errors import (
     DimensionMismatchError,
     DomainError,
@@ -437,13 +435,10 @@ _COUNTS = {
     "strictness_evidence-progression_n_max": (
         lambda v: strictness_evidence(_SEQ, progression_n_max=v), 3, DomainError
     ),
-    "gegenbauer_one-n": (lambda v: gegenbauer_one(v, 1.5), 3, DomainError),
-    "gegenbauer-n": (lambda v: gegenbauer(v, 1.5, 0.3), 3, DomainError),
     "gegenbauer_normalized-n": (lambda v: gegenbauer_normalized(v, 0.5, 0.3), 3, DomainError),
     "gegenbauer_normalized_table-n_max": (
         lambda v: gegenbauer_normalized_table(v, 0.5, [0.3, 0.6]), 3, DomainError
     ),
-    "legendre-n": (lambda v: legendre(v, 0.3), 3, DomainError),
     "gauss_legendre-m": (gauss_legendre, 3, DomainError),
     "validate_params-d": (lambda v: validate_params(_MATERN, v), 3, DomainError),
     "euclid_derivative-order": (lambda v: euclid_derivative(_ASKEY5, 0.5, v), 3, DomainError),

@@ -187,6 +187,34 @@ def test_interp_requires_value_column(capsys, tmp_path):
     assert code == 1 and "value" in err
 
 
+def _interp_on(capsys, tmp_path, eval_text):
+    node_file, eval_file = tmp_path / "nodes.csv", tmp_path / "grid.csv"
+    write_points(sample_points(2, 20, seed=2), node_file, values=np.arange(20.0))
+    eval_file.write_text(eval_text)
+    return _run(capsys, "interp", "--kernel", "matern:c=1,nu=0.5", "--points", str(node_file),
+                "--eval-points", str(eval_file))
+
+
+def test_interp_eval_points_may_repeat(capsys, tmp_path):
+    # a lat/lon grid holds the north pole once per longitude: targets need not be distinct
+    code, out, err = _interp_on(capsys, tmp_path, "lat_deg,lon_deg\n90,0\n90,10\n0,0\n90,0\n")
+    assert code == 0, err
+    preds = [float(r["prediction"]) for r in _rows(out)]
+    assert len(preds) == 4
+    assert preds[0] == preds[3]
+    assert preds[1] == pytest.approx(preds[0], rel=1e-12)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("lat_deg,lon_deg\n90,0\n91,10\n", "latitude outside [-90, 90] in row '91,10'"),
+    ("lat_deg,lon_deg\n", "no data rows"),
+])
+def test_interp_eval_points_keep_the_row_checks(capsys, tmp_path, text, named):
+    code, out, err = _interp_on(capsys, tmp_path, text)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and named in err, err
+
+
 def test_simulate_deterministic_output(capsys):
     argv = [
         "simulate", "--kernel", "matern:c=1,nu=0.5", "--scheme", "fibonacci_s2",

@@ -1,0 +1,30 @@
+"""The public surface: every exported name resolves, and removed names stay gone."""
+
+import dataclasses
+import importlib
+
+import pytest
+
+import spherekernels
+from spherekernels import MembershipVerdict, special
+
+
+@pytest.mark.parametrize(
+    "module", ["catalog", "special", "schoenberg", "criteria", "sphere", "apps", "cli"]
+)
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(f"spherekernels.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("name", ["gegenbauer", "gegenbauer_one", "legendre"])
+def test_removed_polynomial_names_are_gone(name):
+    # C_n^lam is gegenbauer_normalized times C_n^lam(1); Legendre is its lam = 1/2 case
+    for mod in (spherekernels, special):
+        assert not hasattr(mod, name)
+        assert name not in mod.__all__
+
+
+def test_membership_verdict_has_no_monotonicity_field():
+    # the S^3 sign pattern is read off the verdict's sequence
+    assert "monotonicity" not in {f.name for f in dataclasses.fields(MembershipVerdict)}

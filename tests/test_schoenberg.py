@@ -354,12 +354,25 @@ def test_membership_cosine_extremal():
     assert strict.verdict == "INCONCLUSIVE"
 
 
+def _s3_monotonicity(kern, n_max):
+    # the circle's conditions read off the S^3 verdict's coefficients, through
+    # b_{0,3} = b_{0,1} - b_{2,1}/2 and b_{n,3} = (n+1)(b_{n,1} - b_{n+2,1})/2,
+    # with a cosine-side slack of 1e-12
+    b = membership(kern, 3, n_max).sequence.coeffs
+    slack = 1e-12
+    n = np.arange(1, n_max + 1)
+    violations = n[b[1:] < -0.5 * slack * (n + 1)]
+    return {
+        "b2_le_2b0": bool(b[0] >= -0.5 * slack),
+        "pairs_nonincreasing": violations.size == 0,
+        "violations": tuple(int(v) for v in violations[:10]),
+    }
+
+
 def test_membership_monotonicity_diagnostics_for_d3():
-    verdict = membership(kernel("sine_power", alpha=1.0), 3, 60)
-    assert verdict.monotonicity is not None
-    assert verdict.monotonicity["b2_le_2b0"]
-    assert verdict.monotonicity["pairs_nonincreasing"]
-    assert membership(kernel("sine_power", alpha=1.0), 2, 60).monotonicity is None
+    mono = _s3_monotonicity(kernel("sine_power", alpha=1.0), 60)
+    assert mono["b2_le_2b0"]
+    assert mono["pairs_nonincreasing"]
 
 
 def _cosine_monotonicity(kern, n_max):
@@ -378,12 +391,12 @@ def _cosine_monotonicity(kern, n_max):
 @pytest.mark.parametrize("n_max", [60, 200])
 @pytest.mark.parametrize("spec", [*DEFAULT_SPECS, kernel("askey", c=1.0, tau=1.5)], ids=str)
 def test_membership_monotonicity_matches_cosine_sequence(spec, n_max):
-    assert membership(spec, 3, n_max).monotonicity == _cosine_monotonicity(spec, n_max)
+    assert _s3_monotonicity(spec, n_max) == _cosine_monotonicity(spec, n_max)
 
 
 def test_membership_monotonicity_violations_gaussian():
     spec = kernel("powered_exponential", c=1, alpha=2)
-    mono = membership(spec, 3, 200).monotonicity
+    mono = _s3_monotonicity(spec, 200)
     assert mono == _cosine_monotonicity(spec, 200)
     assert not mono["pairs_nonincreasing"]
     assert mono["violations"][:3] == (8, 10, 12)

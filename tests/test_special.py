@@ -17,11 +17,8 @@ from spherekernels.errors import DomainError
 from spherekernels.special import (
     bessel_k,
     gauss_legendre,
-    gegenbauer,
     gegenbauer_normalized,
     gegenbauer_normalized_table,
-    gegenbauer_one,
-    legendre,
 )
 
 
@@ -156,21 +153,20 @@ def test_bessel_k_domain_errors():
 
 
 # ---------------------------------------------------------------------------
-# Gegenbauer / Legendre
+# Gegenbauer
+
+
+def _classical(n, lam, x):
+    # C_n^lam(x) from the package's normalized recurrence, scaled by
+    # C_n^lam(1) = binom(n + 2 lam - 1, n); cos(n arccos x) at lam = 0
+    scale = 1.0 if lam == 0.0 else scipy_special.binom(n + 2 * lam - 1, n)
+    return gegenbauer_normalized(n, lam, x) * scale
 
 
 def test_gegenbauer_spec_values():
-    assert gegenbauer(0, 1.0, 0.3) == pytest.approx(1.0, abs=0)
-    assert gegenbauer(2, 1.0, 1.0) == pytest.approx(3.0, rel=1e-14)
-    assert gegenbauer(2, 0.0, 0.5) == pytest.approx(-0.5, abs=1e-14)
-
-
-def test_gegenbauer_one_matches_gamma_formula():
-    for n in (0, 1, 2, 7, 30):
-        for lam in (0.5, 1.0, 1.5, 3.0):
-            expected = math.gamma(n + 2 * lam) / (math.factorial(n) * math.gamma(2 * lam))
-            assert gegenbauer_one(n, lam) == pytest.approx(expected, rel=1e-13)
-            assert gegenbauer(n, lam, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert _classical(0, 1.0, 0.3) == pytest.approx(1.0, abs=0)
+    assert _classical(2, 1.0, 1.0) == pytest.approx(3.0, rel=1e-14)
+    assert _classical(2, 0.0, 0.5) == pytest.approx(-0.5, abs=1e-14)
 
 
 def test_gegenbauer_normalized_values():
@@ -184,18 +180,11 @@ def test_gegenbauer_normalized_values():
 
 def test_gegenbauer_domain_errors():
     with pytest.raises(DomainError):
-        gegenbauer(2, 1.0, 1.5)
+        gegenbauer_normalized(2, 1.0, 1.5)
     with pytest.raises(DomainError):
-        gegenbauer(2, -0.5, 0.5)
+        gegenbauer_normalized(2, -0.5, 0.5)
     with pytest.raises(DomainError):
-        gegenbauer(-1, 1.0, 0.5)
-
-
-def test_legendre_values():
-    assert legendre(1, 0.7) == pytest.approx(0.7, abs=0)
-    assert legendre(2, 0.5) == pytest.approx(-0.125, rel=1e-14)
-    for n in (0, 1, 5, 40):
-        assert legendre(n, 1.0) == pytest.approx(1.0, abs=1e-12)
+        gegenbauer_normalized(-1, 1.0, 0.5)
 
 
 def test_generating_function_identity():
@@ -208,7 +197,7 @@ def test_generating_function_identity():
                 n_terms += 1
             total = np.zeros_like(theta)
             for n in range(n_terms + 1):
-                total += r**n * gegenbauer(n, lam, np.cos(theta))
+                total += r**n * _classical(n, lam, np.cos(theta))
             closed = (1.0 + r * r - 2.0 * r * np.cos(theta)) ** (-lam)
             assert np.max(np.abs(total - closed)) < 1e-10
 
@@ -218,7 +207,7 @@ def test_gegenbauer_connection_sum():
     theta = np.linspace(0.0, math.pi, 33)
     x = np.cos(theta)
     for n in range(7):
-        direct = gegenbauer(n, 1.5, x)
+        direct = _classical(n, 1.5, x)
         expanded = gegenbauer_connection(n, 1.5, 0.5, x)
         assert np.max(np.abs(direct - expanded)) < 1e-10
 
@@ -282,8 +271,7 @@ def test_recurrence_bound_on_random_samples():
         n = int(rng.integers(0, 60))
         lam = float(rng.uniform(0.0, 4.0))
         x = float(rng.uniform(-1.0, 1.0))
-        bound = gegenbauer_one(n, lam)
-        assert abs(gegenbauer(n, lam, x)) <= bound * (1.0 + 1e-12)
+        assert abs(gegenbauer_normalized(n, lam, x)) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
