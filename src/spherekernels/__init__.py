@@ -52,7 +52,6 @@ from .schoenberg import (
     walk_d_to_d2,
 )
 from .special import (
-    QuadratureRule,
     bessel_k,
     gauss_legendre,
     gegenbauer_normalized,

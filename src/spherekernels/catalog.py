@@ -233,11 +233,6 @@ def _dphi_spherical(p, t):
     return np.where(u < 1.0, -(3.0 / (2.0 * c)) * (1.0 - u * u), 0.0)
 
 
-def _dphi_askey(p, t):
-    c, tau = p["c"], p["tau"]
-    return -(tau / c) * _pos(1.0 - t / c) ** (tau - 1.0)
-
-
 def _dphi_wendland_c2(p, t):
     c, tau = p["c"], p["tau"]
     u = t / c
@@ -435,7 +430,6 @@ _FAMILIES: dict[str, _Family] = {
         expression="(1-theta/c)_+^tau",
         rule="c > 0; tau >= 2; dimensions d <= 3, strict",
         psi=_psi_askey,
-        dphi=_dphi_askey,
         dnphi=_dnphi_askey,
         fractal=lambda p: 1.0,
         classify=_classify_askey,
@@ -499,7 +493,7 @@ def _family(family) -> tuple[str, _Family]:
 def _profile_family(spec: KernelSpec) -> _Family:
     """The record of a family with a Euclidean-argument profile; DomainError otherwise."""
     fam = _FAMILIES[spec.family]
-    if fam.dphi is None:
+    if fam.dphi is None and fam.dnphi is None:
         raise DomainError(f"{spec.family} has no Euclidean-argument profile")
     return fam
 

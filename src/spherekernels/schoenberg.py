@@ -40,8 +40,8 @@ from .errors import DimensionMismatchError, DomainError
 from .special import (
     _check_count,
     _check_tolerance,
-    _leggauss_cached,
     _normalized_rows,
+    gauss_legendre,
     gegenbauer_normalized_table,
 )
 
@@ -150,7 +150,7 @@ def _piece_rule(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]
         # split long panels so each carries a bounded oscillation phase
         splits = max(1, int(math.ceil(n_max * h / _PHASE_PER_PANEL)))
         m = max(20, int(math.ceil(0.35 * n_max * h / splits)) + 12)
-        x, w = _leggauss_cached(m)
+        x, w = gauss_legendre(m)
         for j in range(splits):
             p, q = lo + h * j / splits, lo + h * (j + 1) / splits
             nodes.append(0.5 * (q - p) * x + 0.5 * (p + q))

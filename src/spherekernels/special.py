@@ -12,6 +12,8 @@ form for large n.  At lambda = 0 it is the Chebyshev recurrence
 R_{n+1} = 2 x R_n - R_{n-1}, so R_n(cos theta) = cos(n theta) is the
 cosine basis of the circle.  The (n + 1) x len(x) table is built from the stream.
 
+``gauss_legendre(m)`` is the one Gauss-Legendre builder; ``schoenberg``'s theta rule uses it.
+
 Every integer count in the package (degrees, orders, dimensions, sizes)
 passes one gate, ``_check_count``: an integer >= its floor, where an
 integral float such as 3.0 counts and NaN, inf and 2.5 do not.  Every
@@ -22,7 +24,6 @@ finite number >= 0, so that NaN, inf and -1 fail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -34,7 +35,6 @@ from scipy.linalg.blas import daxpy
 from .errors import DomainError
 
 __all__ = [
-    "QuadratureRule",
     "BESSEL_K_MIN_T",
     "bessel_k",
     "gauss_legendre",
@@ -56,26 +56,6 @@ _K_HALF_COEFFS = tuple(
 )
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Gauss-Legendre rule on [-1, 1]: strictly increasing nodes, positive weights."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    order: int
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
-@lru_cache(maxsize=256)
-def _leggauss_cached(m: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = leggauss(m)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
-
-
 def _check_count(name: str, value, lo: int, error: type[Exception] = DomainError) -> int:
     """The count gate: ``value`` as an int when it is an integer >= lo; NaN, inf and 2.5 fail.
 
@@ -95,11 +75,14 @@ def _check_tolerance(name: str, value) -> float:
     return float(value)
 
 
-def gauss_legendre(m: int) -> QuadratureRule:
-    """Return the m-point Gauss-Legendre rule on [-1, 1]."""
-    m = _check_count("quadrature order", m, 1)
-    x, w = _leggauss_cached(m)
-    return QuadratureRule(nodes=x, weights=w, order=m)
+@lru_cache(maxsize=256)
+def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The m-point Gauss-Legendre rule on [-1, 1] as read-only (nodes, weights),
+    memoized on m.  A bad m raises DomainError, and errors are not cached."""
+    x, w = leggauss(_check_count("quadrature order", m, 1))
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def _check_poly_args(n: int, lam: float, x) -> tuple[int, np.ndarray]:

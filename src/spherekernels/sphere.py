@@ -103,9 +103,14 @@ def _unit_norms(pts: np.ndarray) -> np.ndarray:
     A non-finite coordinate makes the norm inf or NaN, which fails the test.
     """
     norms = np.linalg.norm(pts, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= 1e-9):
+    if not np.all(_is_unit(norms)):
         raise DomainError("points must be finite unit vectors (norm 1 within 1e-9)")
     return norms
+
+
+def _is_unit(norms):
+    """Which norms pass the unit-vector gate: within 1e-9 of 1, so that NaN and inf fail."""
+    return np.abs(norms - 1.0) <= 1e-9
 
 
 def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,8 +248,9 @@ def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
     The header is ``lat_deg,lon_deg`` or ``x0,...,xd``, optionally followed
     by ``value``, and every data row has exactly one cell per header column.
     A row of another width, a cell that is not a number, a ``lat_deg``
-    outside [-90, 90] or a ``lon_deg`` that is not finite raises DomainError
-    naming the first such row in file order.
+    outside [-90, 90], a ``lon_deg`` that is not finite or an ``x0..xd``
+    row whose norm is not 1 within 1e-9 raises DomainError naming the
+    first such row in file order.
     """
     pts, values = _read_point_table(path)
     return SpherePointSet(pts), values
@@ -285,6 +291,8 @@ def _read_point_table(path) -> tuple[np.ndarray, np.ndarray | None]:
         pts = np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
     else:
         pts = table[:, : len(coord_names)]
+        if not np.all(_is_unit(np.linalg.norm(pts, axis=-1))):
+            raise _first_bad_row(data, header, latlon, path)
     return pts, values
 
 
@@ -308,4 +316,8 @@ def _first_bad_row(data: list[list[str]], header: list[str], latlon: bool, path)
             return DomainError(f"latitude outside [-90, 90] in row {text!r} in point file {path}")
         if latlon and not math.isfinite(cells[1]):
             return DomainError(f"longitude not finite in row {text!r} in point file {path}")
+        coords = [c for c, name in zip(cells, header) if name != "value"]
+        if not latlon and not _is_unit(np.linalg.norm(coords)):
+            return DomainError(f"not a finite unit vector (norm 1 within 1e-9) "
+                               f"in row {text!r} in point file {path}")
     return DomainError(f"malformed point file {path}")

@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from scipy.special import eval_gegenbauer
+from scipy.special import eval_gegenbauer, gammaln, gammasgn
 
 from spherekernels import kernel
 
@@ -116,3 +116,37 @@ def gegenbauer_connection(n, lam, nu, x):
         )
         total += coeff * eval_gegenbauer(n - 2 * k, nu, arr)
     return pref * total
+
+
+def _circle_scale(n_max):
+    """g_n on S^1: 1/pi at n = 0 and 2/pi after."""
+    return np.where(np.arange(n_max + 1) == 0, 1.0 / math.pi, 2.0 / math.pi)
+
+
+def circle_exponential_coeffs(c, n_max):
+    """Exact b_n, n = 0..n_max, of exp(-theta/c) on S^1.
+
+    b_n = g_n c (1 - (-1)^n e^{-pi/c}) / (1 + c^2 n^2), the cosine integral in
+    closed form; matern nu = 1/2 and powered_exponential alpha = 1 are this psi.
+    """
+    n = np.arange(n_max + 1)
+    sign = np.where(n % 2 == 0, 1.0, -1.0)
+    return _circle_scale(n_max) * c * (1.0 - sign * math.exp(-math.pi / c)) / (1.0 + (c * n) ** 2)
+
+
+def circle_sine_power_coeffs(alpha, n_max):
+    """Exact b_n, n = 0..n_max, of 1 - sin(theta/2)^alpha on S^1, alpha in (0, 2).
+
+    b_n = delta_{n0} - g_n 2 pi (-1)^n Gamma(alpha+1)
+          / (2^{alpha+1} Gamma(alpha/2+n+1) Gamma(alpha/2-n+1)).
+    The reflection formula turns 1/Gamma(alpha/2-n+1) into
+    -(-1)^n sin(pi alpha/2) Gamma(n-alpha/2) / pi, whose Gamma is negative
+    at n = 0 (hence ``gammasgn``); all Gammas enter through ``gammaln``.
+    """
+    n = np.arange(n_max + 1)
+    h = alpha / 2.0
+    log_ratio = gammaln(alpha + 1.0) + gammaln(n - h) - gammaln(h + n + 1.0)
+    b = _circle_scale(n_max) * 2.0 * math.sin(math.pi * h) / 2.0 ** (alpha + 1.0)
+    b *= gammasgn(n - h) * np.exp(log_ratio)
+    b[0] += 1.0
+    return b

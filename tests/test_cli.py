@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 from spherekernels import (
+    fourier_coeffs,
+    gegenbauer_coeffs,
     gram_report,
     interpolate_eval,
     interpolate_fit,
@@ -23,6 +25,7 @@ from spherekernels import (
     reconstruct,
     sample_points,
     simulate,
+    walk_d_to_d2,
     write_points,
 )
 from spherekernels.catalog import evaluate
@@ -128,6 +131,22 @@ def test_walk_matches_direct_coeffs(capsys):
     assert np.allclose(parse(walked), parse(direct), atol=1e-8)
 
 
+def test_coeffs_and_walk_json_carry_the_library_sequence(capsys):
+    spec = parse_kernel("askey:c=1,tau=3")
+    direct = gegenbauer_coeffs(spec, 2, 40)
+    walked = walk_d_to_d2(walk_d_to_d2(fourier_coeffs(spec, 42)))
+    for argv, seq in [
+        (["coeffs", "--dim", "2", "--n", "40"], direct),
+        (["walk", "--dim", "1", "--n", "42", "--to", "5"], walked),
+    ]:
+        code, out, _ = _run(capsys, *argv, "--kernel", "askey:c=1,tau=3", "--format", "json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["coeffs"] == seq.coeffs.tolist()  # bit for bit, through repr
+        assert (data["d"], data["n_max"], data["quadrature_order"], data["source"]) == (
+            seq.d, seq.n_max, seq.quadrature_order, seq.source)
+
+
 def test_walk_rejects_impossible_target(capsys):
     code, _, err = _run(capsys, "walk", "--kernel", "cosine", "--dim", "1", "--n", "20", "--to", "4")
     assert code == 1
@@ -140,6 +159,34 @@ def test_criteria_verb(capsys):
     )
     row = _rows(out)[0]
     assert code == 0 and row["satisfied"] == "YES"
+
+
+@pytest.mark.parametrize("kernel_text, flags, implied", [
+    ("matern:c=1,nu=0.5", ["--criterion", "polya_s3"], "Psi_3+"),
+    ("askey:c=1,tau=5", ["--criterion", "polya_2n1", "--order", "3"], "Psi_7+"),
+])
+def test_criteria_verb_profile_checkers(capsys, kernel_text, flags, implied):
+    code, out, _ = _run(capsys, "criteria", "--kernel", kernel_text, *flags)
+    row = _rows(out)[0]
+    assert code == 0
+    assert (row["satisfied"], row["implied_class"]) == ("YES", implied)
+
+
+def test_gram_and_simulate_read_a_point_file(capsys, tmp_path):
+    path = tmp_path / "pts.csv"
+    write_points(sample_points(3, 12, seed=7), path)  # x0..x3 columns
+    pts, _ = read_points(path)
+    spec = parse_kernel("matern")
+    code, out, _ = _run(capsys, "gram", "--kernel", "matern", "--points", str(path))
+    report = gram_report(spec, pts)
+    row = _rows(out)[0]
+    assert code == 0 and row["n_points"] == "12"
+    assert float(row["min_eigenvalue"]) == report.min_eigenvalue
+    code, out, _ = _run(capsys, "simulate", "--kernel", "matern", "--points", str(path),
+                        "--samples", "2", "--seed", "3")
+    draws = [[float(r[f"v{j}"]) for j in range(12)] for r in _rows(out)]
+    assert code == 0
+    assert draws == simulate(spec, pts, 2, seed=3).values.tolist()
 
 
 def test_gram_verb_equator(capsys):
@@ -208,6 +255,7 @@ def test_interp_eval_points_may_repeat(capsys, tmp_path):
 @pytest.mark.parametrize("text, named", [
     ("lat_deg,lon_deg\n90,0\n91,10\n", "latitude outside [-90, 90] in row '91,10'"),
     ("lat_deg,lon_deg\n", "no data rows"),
+    ("x0,x1,x2\n1,0,0\n2,0,0\n0,0,3\n", "unit vector (norm 1 within 1e-9) in row '2,0,0'"),
 ])
 def test_interp_eval_points_keep_the_row_checks(capsys, tmp_path, text, named):
     code, out, err = _interp_on(capsys, tmp_path, text)
@@ -237,6 +285,11 @@ _BAD_FILES = [
     ("interp", "--points", "lat_deg,lon_deg,value\n0,0,1.0\n10,inf,2.0\n", "'10,inf,2.0'"),
     ("gram", "--points", "lat_deg,lon_deg\n0,0\n10,nan\n", "'10,nan'"),
     ("gram", "--points", "x0,x1,x2\n1,0,0\nnan,0,1\n", "finite"),
+    # the first row off the unit sphere is named, for every verb that reads points
+    ("gram", "--points", "x0,x1,x2\n1,0,0\n2,0,0\n0,0,3\n",
+     "unit vector (norm 1 within 1e-9) in row '2,0,0'"),
+    ("simulate", "--points", "x0,x1,x2\n1,0,0\n2,0,0\n0,0,3\n", "in row '2,0,0'"),
+    ("interp", "--points", "x0,x1,x2,value\n1,0,0,1\n2,0,0,2\n0,0,3,3\n", "in row '2,0,0,2'"),
     ("gram", "--points", "x0,x1,x2\n1,0,0\n0,1\n", "'0,1'"),
     ("reconstruct", "--coeffs", "# d=abc\nn,b\n0,1.0\n", "d='abc'"),
     ("interp", "--points", "x0,x1,x2,value\n1,0,0,1.0\n0,1,0,nan\n", "finite"),
@@ -253,6 +306,8 @@ _BAD_ARGS = [
     ("gram", "--seed", "-1", "seed -1"),
     ("simulate", "--seed", "-1", "seed -1"),
     ("interp", "--ridge", "inf", "ridge"),
+    ("eval", "--grid", "0:1", "malformed grid '0:1'"),
+    ("eval", "--grid", "0:1:0", "grid count"),
 ]
 
 

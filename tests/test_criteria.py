@@ -38,6 +38,23 @@ def test_circle_gaussian_no():
     assert min(report.violations) < 0.7
 
 
+def test_circle_negative_integral_alone_is_no():
+    # nonincreasing and linear, so no grid violation, but the integral is pi - pi^2/2 < 0
+    report = polya_circle(lambda th: 1.0 - th)
+    assert report.satisfied == "NO"
+    assert report.violations == ()
+    assert report.details["integral"] == pytest.approx(math.pi - math.pi**2 / 2, rel=1e-12)
+
+
+def test_circle_excess_below_the_tolerance_is_inconclusive():
+    # a ripple of 1e-10 exceeds the rounding floor but not the tolerance 1e-9
+    ripple = lambda eps: (lambda th: 1.0 - th / (2 * math.pi) + eps * np.sin(50 * th))
+    report = polya_circle(ripple(1e-10))
+    assert report.satisfied == "INCONCLUSIVE"
+    assert report.violations == ()
+    assert polya_circle(ripple(1e-6)).satisfied == "NO"
+
+
 def test_circle_requires_standardization():
     with pytest.raises(DomainError):
         polya_circle(lambda th: 2.0 * np.exp(-th))

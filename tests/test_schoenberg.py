@@ -6,7 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_SPECS, IN_RANGE_POINTS
+from conftest import (
+    DEFAULT_SPECS,
+    IN_RANGE_POINTS,
+    circle_exponential_coeffs,
+    circle_sine_power_coeffs,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,6 +84,25 @@ def test_fourier_spherical_analytic_oracle():
         n = 2 * k + 1
         expected = 3 / (PI * c**3) * ((2 * c**2 - PI**2) / n**2 + 4.0 / n**4)
         assert abs(b[n] - expected) < 1e-12
+
+
+# (spec, closed form, its parameter); exp(-theta/c) is powered_exponential at
+# alpha = 1 and matern at nu = 1/2
+_CIRCLE_ORACLES = (
+    [(kernel("powered_exponential", c=c, alpha=1.0), circle_exponential_coeffs, c)
+     for c in (0.3, 1.0, 2.0)]
+    + [(kernel("matern", c=c, nu=0.5), circle_exponential_coeffs, c) for c in (0.3, 1.0, 2.0)]
+    + [(kernel("sine_power", alpha=a), circle_sine_power_coeffs, a) for a in (0.5, 1.0, 1.3, 1.9)]
+)
+
+
+@pytest.mark.parametrize("spec,exact,param", _CIRCLE_ORACLES,
+                         ids=[str(spec) for spec, _, _ in _CIRCLE_ORACLES])
+def test_fourier_matches_the_circle_closed_forms(spec, exact, param):
+    # measured 4.3e-14 to 5.6e-14 at n_max = 2000; the tail agrees to 1.4e-11
+    b = exact(param, 2000)
+    assert np.max(np.abs(fourier_coeffs(spec, 2000).coeffs - b)) < 1e-13
+    assert abs(membership(spec, 1, n_max=2000).tail_mass - (1.0 - b.sum())) < 1e-10
 
 
 @pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
@@ -352,6 +376,19 @@ def test_membership_cosine_extremal():
     # requesting strictness downgrades the single-frequency extremal member
     strict = membership(_cos, 2, 50, strict=True)
     assert strict.verdict == "INCONCLUSIVE"
+
+
+def test_membership_strict_on_the_circle_reads_the_progressions():
+    # every coefficient of the multiquadric is positive, so every progression holds
+    assert membership(kernel("multiquadric", tau=1.0, delta=0.5), 1, strict=True).verdict == "PASS"
+    # cosine has b_1 only, sine_power alpha = 2 has b_0 and b_1 only
+    cases = [(kernel("cosine"), (0, 2)), (kernel("sine_power", alpha=2.0), (2, 3))]
+    for spec, first_failing in cases:
+        assert membership(spec, 1).verdict == "PASS"
+        strict = membership(spec, 1, strict=True)
+        assert strict.verdict == "INCONCLUSIVE"
+        assert strict.strict_evidence.progressions_ok is False
+        assert strict.strict_evidence.failing_progressions[0] == first_failing
 
 
 def _s3_monotonicity(kern, n_max):

@@ -279,33 +279,38 @@ def test_recurrence_bound_on_random_samples():
 
 
 def test_gauss_legendre_small_orders():
-    rule = gauss_legendre(1)
-    assert rule.nodes == pytest.approx([0.0], abs=1e-15)
-    assert rule.weights == pytest.approx([2.0], abs=1e-15)
-    rule = gauss_legendre(2)
-    assert rule.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
-    assert rule.weights == pytest.approx([1.0, 1.0], abs=1e-14)
+    x, w = gauss_legendre(1)
+    assert x == pytest.approx([0.0], abs=1e-15)
+    assert w == pytest.approx([2.0], abs=1e-15)
+    x, w = gauss_legendre(2)
+    assert x == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], abs=1e-15)
+    assert w == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 16, 64, 128])
 def test_gauss_legendre_invariants(m):
-    rule = gauss_legendre(m)
-    assert rule.order == m
-    assert abs(rule.weights.sum() - 2.0) < 1e-12
-    assert np.all(np.diff(rule.nodes) > 0)
-    assert np.all(rule.weights > 0)
+    x, w = gauss_legendre(m)
+    assert x.shape == w.shape == (m,)
+    assert not x.flags.writeable and not w.flags.writeable
+    assert gauss_legendre(m)[0] is x and gauss_legendre(m)[1] is w  # memoized
+    assert abs(w.sum() - 2.0) < 1e-12
+    assert np.all(np.diff(x) > 0)
+    assert np.all(w > 0)
     # exact for monomials of degree <= 2m - 1
     for deg in range(2 * m):
         exact = 0.0 if deg % 2 else 2.0 / (deg + 1)
-        assert rule.integrate(lambda x: x**deg) == pytest.approx(exact, abs=1e-10)
+        assert w @ x**deg == pytest.approx(exact, abs=1e-10)
 
 
 def test_gauss_legendre_quartic():
     for m in (3, 5, 9):
-        assert gauss_legendre(m).integrate(lambda x: x**4) == pytest.approx(0.4, abs=1e-14)
+        x, w = gauss_legendre(m)
+        assert w @ x**4 == pytest.approx(0.4, abs=1e-14)
 
 
 def test_gauss_legendre_rejects_bad_order():
+    cached = gauss_legendre.cache_info().currsize
     for m in (0, 2.5, float("nan")):
         with pytest.raises(DomainError):
             gauss_legendre(m)
+    assert gauss_legendre.cache_info().currsize == cached  # errors are not cached
