@@ -40,9 +40,9 @@ from .errors import DimensionMismatchError, DomainError
 from .special import (
     _check_count,
     _check_tolerance,
-    _normalized_rows,
+    _normalized_blocks,
     gauss_legendre,
-    gegenbauer_normalized_table,
+    gegenbauer_normalized_table,  # noqa: F401  perfbench's tracer test looks it up here
 )
 
 __all__ = [
@@ -71,7 +71,7 @@ class SchoenbergSequence:
 
     d: int
     coeffs: np.ndarray
-    quadrature_order: int
+    quadrature_order: int  # theta nodes used: those where the weighted profile is nonzero
     source: str  # direct_quadrature | recursion | a coefficient file's label (unknown if none)
 
     def __post_init__(self):
@@ -178,14 +178,23 @@ def _theta_rule(breaks: tuple[float, ...], n_max: int) -> tuple[np.ndarray, np.n
 
 
 def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
-    """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule."""
+    """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule.
+
+    Only the nodes where the weighted profile is nonzero enter (NaN does):
+    a compactly supported psi skips its zeros, and ``quadrature_order`` is
+    the number of nodes used.
+    """
     n_max = _check_count("n_max", n_max, 0)
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
     fw = psi(x) * np.sin(x) ** (d - 1) * w
-    rows = _normalized_rows(n_max, (d - 1) / 2.0, np.cos(x))
-    coeffs = _gegenbauer_scale(n_max, d) * np.fromiter((r @ fw for r in rows), float, n_max + 1)
-    return SchoenbergSequence(d, coeffs, quadrature_order=x.size, source="direct_quadrature")
+    used = fw != 0
+    fw = fw[used]
+    coeffs = np.empty(n_max + 1)
+    for start, S, s in _normalized_blocks(n_max, (d - 1) / 2.0, np.cos(x[used])):
+        np.multiply(S @ fw, s, out=coeffs[start : start + s.size])
+    coeffs *= _gegenbauer_scale(n_max, d)
+    return SchoenbergSequence(d, coeffs, quadrature_order=fw.size, source="direct_quadrature")
 
 
 @lru_cache(maxsize=8)
@@ -304,10 +313,16 @@ def legendre_from_fourier(
 
 
 def reconstruct(seq: SchoenbergSequence, theta):
-    """Evaluate the truncated expansion at theta; equals sum(coeffs) at 0."""
+    """Evaluate the truncated expansion at theta; equals sum(coeffs) at 0.
+
+    The basis is summed block by block, so memory stays at one block (about 1 MB)
+    besides the result.
+    """
     arr = catalog._check_theta(theta)
-    basis = gegenbauer_normalized_table(seq.n_max, (seq.d - 1) / 2.0, np.cos(arr.ravel()))
-    vals = (seq.coeffs @ basis).reshape(arr.shape)
+    vals = np.zeros(arr.size)
+    for start, S, s in _normalized_blocks(seq.n_max, (seq.d - 1) / 2.0, np.cos(arr.ravel())):
+        vals += (seq.coeffs[start : start + s.size] * s) @ S
+    vals = vals.reshape(arr.shape)
     return float(vals) if arr.ndim == 0 else vals
 
 

@@ -1,7 +1,7 @@
 """Orthogonal polynomials, modified Bessel functions and Gauss-Legendre rules.
 
-Every Gegenbauer (ultraspherical) evaluation streams one recurrence, row
-by row in three rotating buffers, for the normalized R_n = C_n^lambda(x) / C_n^lambda(1):
+Every Gegenbauer (ultraspherical) evaluation runs one recurrence for the
+normalized R_n = C_n^lambda(x) / C_n^lambda(1):
 
     R_0 = 1,  R_1 = x,
     R_{n+1} = a_n x R_n - b_n R_{n-1},
@@ -10,7 +10,14 @@ by row in three rotating buffers, for the normalized R_n = C_n^lambda(x) / C_n^l
 It keeps every value in [-1, 1], which makes it the numerically preferred
 form for large n.  At lambda = 0 it is the Chebyshev recurrence
 R_{n+1} = 2 x R_n - R_{n-1}, so R_n(cos theta) = cos(n theta) is the
-cosine basis of the circle.  The (n + 1) x len(x) table is built from the stream.
+cosine basis of the circle.  The rows are produced in blocks of at most
+32 rows in one buffer of about 2^17 entries (1 MB).  Each block starts
+from two normalized rows and runs the rescaled recurrence
+S_{n+1} = (2x) S_n - beta_n S_{n-1} with R_n = s_n S_n, one product and one
+BLAS axpy per row; s_n is a product of at most 32 factors in [1/2, 1], so
+it neither underflows nor overflows, and at lambda = 0 it is exactly 1.
+Callers consume a block whole: the (n + 1) x len(x) table, a single degree,
+a projection (one matrix-vector product per block) or a reconstruction.
 
 ``gauss_legendre(m)`` is the one Gauss-Legendre builder; ``schoenberg``'s theta rule uses it.
 
@@ -99,30 +106,65 @@ def _check_poly_args(n: int, lam: float, x) -> tuple[int, np.ndarray]:
     return n, np.clip(arr, -1.0, 1.0)
 
 
-def _normalized_rows(n_max: int, lam: float, x: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield R_0(x), ..., R_{n_max}(x) for unchecked 1-d float x in [-1, 1].
+_BLOCK_ROWS = 32  # rows per block; the scale s_n stays within [2^-32, 1]
+_BLOCK_ENTRIES = 2**17  # the block buffer, start rows included, holds about this many values
 
-    Each row is written in place into one of three rotating buffers (a
-    product, a scale and one BLAS axpy), so a yielded row is overwritten
-    two steps later: a caller that keeps a row must copy it.
+
+def _block_rows(size: int) -> int:
+    """Rows per block for ``size`` points: at least 1, at most 32, buffer near 2^17 entries."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_ENTRIES // size - 2))
+
+
+def _block_recurrence(n_max: int, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """For n = 1..n_max-1, h_n = a_n / 2, the growth of s from row n to row n + 1;
+    and for n = 2..n_max-1, beta_n = b_n / (h_n h_{n-1}), the weight of row
+    n - 1 in a row that does not start a block."""
+    n = np.arange(1.0, n_max)
+    h = (n + lam) / (n + 2.0 * lam)
+    return h, n[1:] / (n[1:] + 2.0 * lam) / (h[1:] * h[:-1])
+
+
+def _normalized_blocks(
+    n_max: int, lam: float, x: np.ndarray
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (start, S, s) with R_{start+i}(x) = s[i] * S[i], covering n = 0..n_max.
+
+    ``x`` is unchecked 1-d float in [-1, 1] and is overwritten with 2x, so
+    callers pass an array of their own.  S and s are views of one buffer
+    that the next block overwrites: a caller that keeps a block must copy it.
     """
     if x.size == 0:  # BLAS rejects an empty vector, and every row is empty
-        yield from (x for _ in range(n_max + 1))
+        yield 0, np.empty((n_max + 1, 0)), np.ones(n_max + 1)
         return
-    prev, cur, nxt = np.ones_like(x), x.copy(), np.empty_like(x)
-    yield prev
-    if n_max == 0:
+    h, later = _block_recurrence(n_max, lam)
+    rows = _block_rows(x.size)
+    buf = np.empty((min(n_max + 1, rows + 2), x.size))
+    buf[0] = 1.0
+    if n_max > 0:
+        buf[1] = x
+    s = np.ones(buf.shape[0])
+    if n_max <= 1:
+        yield 0, buf, s
         return
-    yield cur
-    k = np.arange(1, n_max)
-    a = (2.0 * (k + lam) / (k + 2.0 * lam)).tolist()
-    b = (k / (k + 2.0 * lam)).tolist()
-    for a_k, b_k in zip(a, b):
-        np.multiply(x, cur, out=nxt)
-        nxt *= a_k
-        nxt = daxpy(prev, nxt, a=-b_k)
-        prev, cur, nxt = cur, nxt, prev
-        yield cur
+    x2 = np.multiply(x, 2.0, out=x)
+    S = list(buf)
+    k = 1  # the block starts from rows k - 1 and k
+    while True:
+        m = min(rows, n_max - k)
+        np.multiply.accumulate(h[k - 1 : k - 1 + m], out=s[2 : m + 2])
+        first = k / (k + 2.0 * lam) / h[k - 1]  # rows k - 1 and k have s = 1
+        for j, beta in enumerate([first, *later[k - 1 : k + m - 2].tolist()]):
+            np.multiply(x2, S[j + 1], out=S[j + 2])
+            daxpy(S[j], S[j + 2], a=-beta)
+        if k == 1:
+            yield 0, buf[: m + 2], s[: m + 2]
+        else:
+            yield k + 1, buf[2 : m + 2], s[2 : m + 2]
+        k += m
+        if k == n_max:
+            return
+        np.multiply(S[m], s[m], out=S[0])  # restart from normalized rows
+        np.multiply(S[m + 1], s[m + 1], out=S[1])
 
 
 def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.ndarray:
@@ -132,17 +174,19 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
     """
     n_max, arr = _check_poly_args(n_max, lam, x)
     table = np.empty((n_max + 1, arr.size))
-    for k, row in enumerate(_normalized_rows(n_max, lam, arr.ravel())):
-        table[k] = row
+    for start, S, s in _normalized_blocks(n_max, lam, arr.ravel()):
+        np.multiply(S, s[:, None], out=table[start : start + s.size])
     return table
 
 
 def gegenbauer_normalized(n: int, lam: float, x):
-    """Evaluate C_n^lam(x) / C_n^lam(1), keeping three rows of the recurrence."""
+    """Evaluate C_n^lam(x) / C_n^lam(1), keeping one block of the recurrence."""
     n, arr = _check_poly_args(n, lam, x)
-    for out in _normalized_rows(n, lam, arr.ravel()):
+    flat = arr.ravel()
+    for _, S, s in _normalized_blocks(n, lam, flat):
         pass
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    np.multiply(S[-1], s[-1], out=flat)  # flat held 2x until the last block
+    return float(flat[0]) if arr.ndim == 0 else flat.reshape(arr.shape)
 
 
 def bessel_k(nu: float, t):

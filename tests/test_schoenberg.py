@@ -149,6 +149,56 @@ def test_successive_projections_are_bit_identical():
         assert first.quadrature_order == again.quadrature_order
 
 
+COMPACT_FAMILIES = ("spherical", "askey", "wendland_c2", "wendland_c4", "gaspari_cohn")
+
+
+@pytest.mark.parametrize("family", COMPACT_FAMILIES)
+@pytest.mark.parametrize("c", [0.5, 1.0])
+def test_projection_skips_the_nodes_where_psi_vanishes(family, c):
+    # reference: the basis table on every node of the rule, zeros included
+    spec = kernel(family, c=c)
+    n_max = 300
+    x, w = _theta_rule(catalog.breakpoints(spec), n_max)
+    psi = catalog.evaluate(spec, x)
+    for d in (1, 2, 3, 5):
+        fw = psi * np.sin(x) ** (d - 1) * w
+        g = _gegenbauer_scale(n_max, d)
+        expected = g * (gegenbauer_normalized_table(n_max, (d - 1) / 2.0, np.cos(x)) @ fw)
+        got = fourier_coeffs(spec, n_max) if d == 1 else gegenbauer_coeffs(spec, d, n_max)
+        assert got.quadrature_order == np.count_nonzero(psi) < x.size
+        assert np.all(np.abs(got.coeffs - expected) <= 1e-15 * g), (spec, d)
+
+
+def test_projection_trims_a_compactly_supported_callable():
+    psi = lambda t: np.where(t < 1.0, (1.0 - t) ** 2, 0.0)
+    x, w = _theta_rule((), 200)
+    fw = psi(x) * np.sin(x) ** 2 * w
+    expected = _gegenbauer_scale(200, 3) * (gegenbauer_normalized_table(200, 1.0, np.cos(x)) @ fw)
+    seq = gegenbauer_coeffs(psi, 3, 200)
+    assert seq.quadrature_order == np.count_nonzero(x < 1.0) < x.size
+    assert np.all(np.abs(seq.coeffs - expected) <= 1e-15 * _gegenbauer_scale(200, 3))
+
+
+def test_projection_keeps_nan_from_psi():
+    def psi(t):
+        out = np.exp(-t)
+        out[t > 3.0] = np.nan
+        return out
+
+    for d in (1, 3):
+        seq = fourier_coeffs(psi, 50) if d == 1 else gegenbauer_coeffs(psi, d, 50)
+        assert np.all(np.isnan(seq.coeffs))
+
+
+def test_projection_calls_psi_on_read_only_nodes():
+    def psi(t):
+        t[0] = 0.0
+        return np.exp(-t)
+
+    with pytest.raises(ValueError):
+        fourier_coeffs(psi, 50)
+
+
 def test_cached_rule_and_scale_are_read_only():
     x, w = _theta_rule((1.0,), 200)
     assert _theta_rule((1.0,), 200)[0] is x  # memoized
@@ -340,6 +390,22 @@ def test_reconstruct_truncation_error_decreases():
         errs.append(np.max(np.abs(reconstruct(seq, theta) - (1 - np.sin(theta / 2)))))
     assert errs[0] < 6e-3
     assert errs[1] < errs[0]
+
+
+def test_reconstruct_keeps_one_block_of_the_basis():
+    # a stored 2001 x 20000 basis table takes 320 MB; the blocks take 1 MB
+    seq = gegenbauer_coeffs(kernel("matern", c=1.0, nu=0.5), 3, 2000)
+    theta = np.linspace(0.0, PI, 20000)
+    tracemalloc.start()
+    try:
+        vals = reconstruct(seq, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    picks = theta[::40]
+    dense = seq.coeffs @ gegenbauer_normalized_table(2000, 1.0, np.cos(picks))
+    assert np.max(np.abs(vals[::40] - dense)) < 1e-13
 
 
 def test_reconstruct_rejects_bad_angles():

@@ -253,7 +253,7 @@ def test_single_degree_is_the_table_last_row(n, lam):
 
 
 def test_single_degree_keeps_two_rows():
-    # the recurrence is streamed: three rows in buffers, no (n + 1) x len(x) table
+    # the recurrence is streamed: one block of at most 34 rows, no (n + 1) x len(x) table
     x = np.linspace(-1.0, 1.0, 2000)
     tracemalloc.start()
     try:
@@ -263,6 +263,82 @@ def test_single_degree_keeps_two_rows():
         tracemalloc.stop()
     assert peak < 1e6
     assert np.array_equal(out, gegenbauer_normalized_table(2000, 1.0, x)[-1])
+
+
+def _normalized_oracle(n_max, lam, x):
+    # scipy's own evaluation: cos(n arccos x) at lam = 0, else C_n^lam(x) / C_n^lam(1)
+    n = np.arange(n_max + 1)[:, None]
+    if lam == 0.0:
+        return np.cos(n * np.arccos(x))
+    return scipy_special.eval_gegenbauer(n, lam, x) / scipy_special.eval_gegenbauer(n, lam, 1.0)
+
+
+# degrees at and around the block boundaries: the first block holds rows
+# 0..rows + 1 and every later block ``rows`` more, so blocks end at rows + 1
+# and 2 rows + 1
+_BLOCK_EDGES = [0, 1, 2] + [
+    k * special._BLOCK_ROWS + j for k, j in ((1, -1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2))
+]
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=40),
+    st.one_of(st.just(0.0), st.floats(0.5, 500.0)),
+    st.sampled_from(_BLOCK_EDGES),
+)
+def test_block_recurrence_matches_scipy(xs, lam, n_max):
+    # one-point to 40-point x: the blocks are 32 rows, so these degrees
+    # end a block, start one, or fill two
+    x = np.array(xs)
+    table = gegenbauer_normalized_table(n_max, lam, x)
+    assert table.shape == (n_max + 1, x.size)
+    assert np.max(np.abs(table - _normalized_oracle(n_max, lam, x))) < 1e-12
+    assert np.array_equal(gegenbauer_normalized(n_max, lam, x), table[-1])
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 49.5, 500.0])
+@pytest.mark.parametrize("size", [20000, 50000])
+def test_small_blocks_for_many_points_match_scipy(size, lam):
+    # 20000 points run 4-row blocks and 50000 points 1-row blocks, each
+    # restarting from normalized rows
+    assert special._block_rows(size) == {20000: 4, 50000: 1}[size]
+    x = np.cos(np.linspace(0.0, math.pi, size))
+    table = gegenbauer_normalized_table(20, lam, x)
+    assert np.max(np.abs(table - _normalized_oracle(20, lam, x))) < 1e-13
+
+
+@pytest.mark.parametrize("n_max", _BLOCK_EDGES)
+def test_block_recurrence_on_empty_and_one_point_x(n_max):
+    assert gegenbauer_normalized_table(n_max, 1.5, np.empty(0)).shape == (n_max + 1, 0)
+    one = gegenbauer_normalized_table(n_max, 1.5, [0.3])
+    assert one.shape == (n_max + 1, 1)
+    assert np.max(np.abs(one - _normalized_oracle(n_max, 1.5, np.array([0.3])))) < 1e-14
+
+
+def test_block_buffer_is_capped_near_one_megabyte():
+    for size in (1, 10, 1000, 4176, 20000, 10**5, 10**6):
+        rows = special._block_rows(size)
+        assert 1 <= rows <= special._BLOCK_ROWS
+        assert rows == 1 or (rows + 2) * size <= 2**17
+    assert special._block_rows(10**6) == 1  # a large x never gets 30 rows
+
+
+def test_single_degree_on_a_million_points_peaks_below_the_three_row_stream():
+    # the bound is the peak of the three-row stream that the blocks replaced:
+    # the clipped copy of x and three rows, 4.0011 * x.nbytes for this call
+    x = np.linspace(-1.0, 1.0, 10**6)
+    tracemalloc.start()
+    try:
+        out = gegenbauer_normalized(100, 1.0, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0011 * x.nbytes
+    assert out.shape == x.shape
+    picks = slice(None, None, 9973)
+    oracle = scipy_special.eval_gegenbauer(100, 1.0, x[picks]) / 101.0
+    assert np.max(np.abs(out[picks] - oracle)) < 1e-13
 
 
 def test_recurrence_bound_on_random_samples():
