@@ -44,7 +44,6 @@ from .schoenberg import (
     StrictnessEvidence,
     fourier_coeffs,
     gegenbauer_coeffs,
-    legendre_from_fourier,
     membership,
     reconstruct,
     strictness_evidence,
@@ -60,7 +59,6 @@ from .sphere import (
     GramReport,
     SpherePointSet,
     gram_report,
-    great_circle,
     read_points,
     sample_points,
     write_points,

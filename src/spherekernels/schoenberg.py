@@ -19,8 +19,7 @@ even for profiles with a fractional-power singularity at the origin,
 where a single rule would stall at a few digits.
 
 One exact two-term recursion connects dimensions d and d+2 for every
-d >= 1 (the walk; two walks from the circle give S^5), and a
-cosine-to-Legendre series connects d = 1 to d = 2.  Verdicts are
+d >= 1 (the walk; two walks from the circle give S^5).  Verdicts are
 three-tier: FAIL is certified by a robustly negative coefficient, PASS is
 evidence at a declared tail tolerance, and INCONCLUSIVE absorbs the rest;
 finite truncations cannot certify the infinite conditions.
@@ -52,7 +51,6 @@ __all__ = [
     "fourier_coeffs",
     "from_csv",
     "gegenbauer_coeffs",
-    "legendre_from_fourier",
     "membership",
     "reconstruct",
     "strictness_evidence",
@@ -260,54 +258,6 @@ def walk_d_to_d2(seq: SchoenbergSequence) -> SchoenbergSequence:
     return SchoenbergSequence(d + 2, out, seq.quadrature_order, source="recursion")
 
 
-def _legendre_series_weights(n: int, k_tail: int) -> np.ndarray:
-    """Coefficients c_k^n of the cosine-to-Legendre series, k = 0..k_tail."""
-    out = np.empty(k_tail + 1)
-    c0 = 1.0
-    for j in range(1, n + 1):  # 4^n (n!)^2 / (2n)! built up stably
-        c0 *= 2.0 * j / (2.0 * j - 1.0)
-    out[0] = c0
-    for k in range(k_tail):
-        out[k + 1] = out[k] * (2 * k + 1) / (k + 1) * (n + k + 1) / (2 * n + 2 * k + 3)
-    return out
-
-
-def legendre_from_fourier(
-    seq: SchoenbergSequence, n_out: int, k_tail: int
-) -> tuple[SchoenbergSequence, np.ndarray]:
-    """Map cosine coefficients to Legendre coefficients b_{n,2}, n <= n_out.
-
-    Also returns the per-coefficient magnitude of the last retained series
-    term as a truncation-tail estimate (the series' regularity conditions
-    are mild but not checked).  Requires input length >= n_out + 2 k_tail + 2.
-
-    The series is halved relative to its commonly printed form: as printed
-    it reproduces twice the coefficients of the sum-to-one normalization
-    used throughout this package (checked symbolically for n = 0, 1, 2 and
-    numerically against direct quadrature).
-    """
-    if seq.d != 1:
-        raise DimensionMismatchError(f"input must have d=1, got d={seq.d}")
-    n_out = _check_count("n_out", n_out, 0)
-    k_tail = _check_count("k_tail", k_tail, 0)
-    if not seq.n_max >= n_out + 2 * k_tail + 2:
-        raise DimensionMismatchError(
-            f"need cosine coefficients up to n={n_out + 2 * k_tail + 2}, have {seq.n_max}"
-        )
-    b = seq.coeffs
-    bstar = b.copy()
-    bstar[0] *= 2.0
-    out = np.empty(n_out + 1)
-    residual = np.empty(n_out + 1)
-    for n in range(n_out + 1):
-        ck = _legendre_series_weights(n, k_tail)
-        k = np.arange(k_tail + 1)
-        terms = ck * (bstar[n + 2 * k] - b[n + 2 * k + 2])
-        out[n] = 0.5 * terms.sum()
-        residual[n] = 0.5 * abs(terms[-1])
-    return SchoenbergSequence(2, out, seq.quadrature_order, source="recursion"), residual
-
-
 # --------------------------------------------------------------------------
 # reconstruction and verdicts
 
@@ -454,7 +404,7 @@ def to_csv(seq: SchoenbergSequence, path_or_buf) -> None:
 
 
 def from_csv(path_or_buf) -> SchoenbergSequence:
-    """Read a sequence written by ``to_csv``."""
+    """Read a sequence written by ``to_csv``; a non-finite coefficient is a DomainError."""
     with _opened(path_or_buf, "r") as fh:
         text = fh.read()
     meta: dict[str, str] = {}
@@ -472,9 +422,12 @@ def from_csv(path_or_buf) -> SchoenbergSequence:
             continue
         n_str, _, b_str = line.partition(",")
         try:
-            rows.append((int(n_str), float(b_str)))
+            n, bn = int(n_str), float(b_str)
         except ValueError:
             raise DomainError(f"malformed coefficient row {line!r}: expected n,b") from None
+        if not math.isfinite(bn):
+            raise DomainError(f"non-finite coefficient in row {line!r}")
+        rows.append((n, bn))
     if not rows:
         raise DomainError("no coefficient rows found")
     rows.sort()

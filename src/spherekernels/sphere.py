@@ -32,7 +32,6 @@ __all__ = [
     "GramReport",
     "SpherePointSet",
     "gram_report",
-    "great_circle",
     "read_points",
     "sample_points",
     "write_points",
@@ -71,10 +70,6 @@ class SpherePointSet:
     def d(self) -> int:
         return self.points.shape[1] - 1
 
-    def distance_matrix(self) -> np.ndarray:
-        """Pairwise great circle distances, exact zeros on the diagonal."""
-        return pairwise_angles(self.points, self.points)
-
 
 @dataclass(frozen=True)
 class GramReport:
@@ -85,16 +80,6 @@ class GramReport:
     max_eigenvalue: float
     psd: bool
     tolerance_used: float
-
-
-def great_circle(x, y) -> float:
-    """Great circle distance between two unit vectors, by ``pairwise_angles``."""
-    xv = np.asarray(x, dtype=float)
-    yv = np.asarray(y, dtype=float)
-    if xv.shape != yv.shape or xv.ndim != 1:
-        raise DomainError("inputs must be two vectors of equal dimension")
-    _unit_norms(np.stack([xv, yv]))
-    return float(pairwise_angles(xv[None], yv[None])[0, 0])
 
 
 def _unit_norms(pts: np.ndarray) -> np.ndarray:
@@ -183,7 +168,7 @@ def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
     Each row block is evaluated up to its last diagonal entry, and the part
     left of the block's diagonal square is mirrored into the columns above
     it, so psi sees about N^2 / 2 angles.  For a psi that acts entry by
-    entry the result equals psi(pts.distance_matrix()) bit for bit and is
+    entry the result equals psi(pairwise_angles(x, x)) bit for bit and is
     exactly symmetric, because the distances are; only the N x N result is
     held at full size.
     """
@@ -245,8 +230,9 @@ def write_points(pts: SpherePointSet, path, values: Iterable[float] | None = Non
 def read_points(path) -> tuple[SpherePointSet, np.ndarray | None]:
     """Read a point CSV; returns the point set and the value column if present.
 
-    The header is ``lat_deg,lon_deg`` or ``x0,...,xd``, optionally followed
-    by ``value``, and every data row has exactly one cell per header column.
+    The header is ``lat_deg,lon_deg`` or ``x0,...,xd`` with d >= 1,
+    optionally followed by ``value``, and every data row has exactly one
+    cell per header column.
     A row of another width, a cell that is not a number, a ``lat_deg``
     outside [-90, 90], a ``lon_deg`` that is not finite or an ``x0..xd``
     row whose norm is not 1 within 1e-9 raises DomainError naming the
@@ -268,7 +254,8 @@ def _read_point_table(path) -> tuple[np.ndarray, np.ndarray | None]:
     has_value = header[-1] == "value"
     coord_names = header[:-1] if has_value else header
     latlon = coord_names == ["lat_deg", "lon_deg"]
-    if not latlon and not all(name == f"x{i}" for i, name in enumerate(coord_names)):
+    xyz = len(coord_names) >= 2 and all(name == f"x{i}" for i, name in enumerate(coord_names))
+    if not (latlon or xyz):
         raise DomainError(
             f"unrecognized point columns {header}: "
             "expected lat_deg,lon_deg or x0..xd, optionally followed by value"

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import eval_gegenbauer, gammaln, gammasgn
 
 from spherekernels import kernel
@@ -150,3 +151,25 @@ def circle_sine_power_coeffs(alpha, n_max):
     b *= gammasgn(n - h) * np.exp(log_ratio)
     b[0] += 1.0
     return b
+
+
+def legendre_from_fourier(b, n_out, k_tail):
+    """b_{n,2}, n = 0..n_out, from cosine coefficients b_0..b_{n_out+2 k_tail+2} on S^1.
+
+    The cosine-to-Legendre series b_{n,2} = 1/2 sum_{k<=k_tail} c_k^n (b*_{n+2k} - b_{n+2k+2}),
+    with b* = b except b*_0 = 2 b_0 (halved from its printed form, which gives
+    twice the sum-to-one coefficients) and
+    c_k^n = (n+1/2) Gamma(k+1/2) Gamma(n+k+1) / (Gamma(k+1) Gamma(n+k+3/2)),
+    in log space over the whole (n, k) table; an oracle for d = 2 quadrature.
+    """
+    b = np.asarray(b, dtype=float)
+    assert b.size >= n_out + 2 * k_tail + 3, "series needs b up to n_out + 2 k_tail + 2"
+    n = np.arange(n_out + 1.0)[:, None]
+    k = np.arange(k_tail + 1.0)
+    m = np.arange(n_out + k_tail + 1.0)
+    log_c = np.log(n + 0.5) + (gammaln(k + 0.5) - gammaln(k + 1.0))
+    log_c += sliding_window_view(gammaln(m + 1.0) - gammaln(m + 1.5), k_tail + 1)  # [n, k] at n + k
+    diff = b[: n_out + 2 * k_tail + 1] - b[2 : n_out + 2 * k_tail + 3]
+    diff[0] += b[0]
+    terms = sliding_window_view(diff, 2 * k_tail + 1)[:, ::2]  # [n, k] at n + 2k
+    return 0.5 * np.einsum("nk,nk->n", np.exp(log_c), terms)

@@ -40,6 +40,7 @@ from spherekernels.schoenberg import (
     walk_d_to_d2,
 )
 from spherekernels.special import gegenbauer_normalized
+from spherekernels.sphere import pairwise_angles
 
 PI = math.pi
 
@@ -243,7 +244,7 @@ def test_criterion_10_interpolation_and_simulation():
     pts = sample_points(2, 10, "uniform_random", seed=11)
     worst_ratio = 0.0
     for spec in (kernel("matern"), kernel("sine_power", alpha=1.0), kernel("wendland_c2")):
-        K = evaluate(spec, pts.distance_matrix())
+        K = evaluate(spec, pairwise_angles(pts.points, pts.points))
         draws = simulate(spec, pts, 10_000, seed=5).values
         cov = draws.T @ draws / draws.shape[0]
         se = np.sqrt((np.outer(np.diag(K), np.diag(K)) + K**2) / draws.shape[0])

@@ -140,7 +140,7 @@ def test_simulation_pairwise_correlation_recovery():
     pts = sample_points(2, 10, "uniform_random", seed=11)
     spec = kernel("matern")
     sample = simulate(spec, pts, 10_000, seed=5)
-    dist = pts.distance_matrix()
+    dist = pairwise_angles(pts.points, pts.points)
     cov = sample.values.T @ sample.values / sample.values.shape[0]
     for i, j in ((0, 1), (2, 7), (4, 9)):
         rho = evaluate(spec, dist[i, j])

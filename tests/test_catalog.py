@@ -21,11 +21,9 @@ from spherekernels import (
     gegenbauer_coeffs,
     gegenbauer_normalized,
     gram_report,
-    great_circle,
     interpolate_eval,
     interpolate_fit,
     kernel,
-    legendre_from_fourier,
     localization_compare,
     membership,
     parse_kernel,
@@ -370,7 +368,6 @@ _OUTSIDE = {
     "interpolate_eval-3d": lambda: interpolate_eval(
         _interpolant(), np.tile([0.0, 0.0, 1.0], (2, 3, 1))
     ),
-    "great_circle": lambda: great_circle([_NAN, 0.0, 1.0], [0.0, 0.0, 1.0]),
     "bessel_k": lambda: bessel_k(0.5, _NAN),
     "validate_params": lambda: validate_params(_MATERN, _NAN),
     "validate_params-fraction": lambda: validate_params(_MATERN, 2.5),
@@ -430,8 +427,6 @@ _COUNTS = {
     "SchoenbergSequence-quadrature_order": (
         lambda v: SchoenbergSequence(1, [1.0], v, "x"), 3, DomainError
     ),
-    "legendre_from_fourier-n_out": (lambda v: legendre_from_fourier(_SEQ, v, 5), 3, DomainError),
-    "legendre_from_fourier-k_tail": (lambda v: legendre_from_fourier(_SEQ, 3, v), 3, DomainError),
     "strictness_evidence-progression_n_max": (
         lambda v: strictness_evidence(_SEQ, progression_n_max=v), 3, DomainError
     ),

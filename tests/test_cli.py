@@ -291,7 +291,14 @@ _BAD_FILES = [
     ("simulate", "--points", "x0,x1,x2\n1,0,0\n2,0,0\n0,0,3\n", "in row '2,0,0'"),
     ("interp", "--points", "x0,x1,x2,value\n1,0,0,1\n2,0,0,2\n0,0,3,3\n", "in row '2,0,0,2'"),
     ("gram", "--points", "x0,x1,x2\n1,0,0\n0,1\n", "'0,1'"),
+    ("gram", "--points", "value\n1\n2\n", "unrecognized point columns ['value']"),
     ("reconstruct", "--coeffs", "# d=abc\nn,b\n0,1.0\n", "d='abc'"),
+    ("reconstruct", "--coeffs", "0,1.0\n1,nan\n2,0.5\n3,nan\n", "row '1,nan'"),
+    ("reconstruct", "--coeffs", "0,1.0\n1,inf\n2,0.5\n3,nan\n", "row '1,inf'"),
+    ("reconstruct", "--coeffs", "0,1.0\n1,-inf\n2,0.5\n3,nan\n", "row '1,-inf'"),
+    ("walk", "--coeffs", "0,1.0\n1,nan\n2,0.5\n3,nan\n", "row '1,nan'"),
+    ("walk", "--coeffs", "0,1.0\n1,inf\n2,0.5\n3,nan\n", "row '1,inf'"),
+    ("walk", "--coeffs", "0,1.0\n1,-inf\n2,0.5\n3,nan\n", "row '1,-inf'"),
     ("interp", "--points", "x0,x1,x2,value\n1,0,0,1.0\n0,1,0,nan\n", "finite"),
     ("interp", "--points", "x0,x1,x2,value\n1,0,0,1.0\n0,1,0,inf\n", "finite"),
 ]
@@ -326,7 +333,8 @@ def test_exit_code_domain_error(capsys, tmp_path):
     for verb, flag, text, named in _BAD_FILES:
         bad.write_text(text)
         argv = [verb, flag, str(bad)]
-        argv += ["--theta", "1"] if verb == "reconstruct" else ["--kernel", "matern:c=1,nu=0.5"]
+        argv += {"reconstruct": ["--theta", "1"], "walk": ["--to", "5"]}.get(
+            verb, ["--kernel", "matern:c=1,nu=0.5"])
         code, out, err = _run(capsys, *argv)
         assert code == 1 and out == "", text
         assert err.startswith("error:") and err.count("\n") == 1 and named in err, err

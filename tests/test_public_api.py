@@ -6,7 +6,7 @@ import importlib
 import pytest
 
 import spherekernels
-from spherekernels import MembershipVerdict, special
+from spherekernels import MembershipVerdict, SpherePointSet, schoenberg, special, sphere
 
 
 @pytest.mark.parametrize(
@@ -28,3 +28,15 @@ def test_removed_polynomial_names_are_gone(name):
 def test_membership_verdict_has_no_monotonicity_field():
     # the S^3 sign pattern is read off the verdict's sequence
     assert "monotonicity" not in {f.name for f in dataclasses.fields(MembershipVerdict)}
+
+
+@pytest.mark.parametrize("name", ["great_circle", "legendre_from_fourier"])
+def test_removed_distance_and_series_names_are_gone(name):
+    # pairwise_angles is the one distance routine; the series is the tests' S^2 oracle
+    for mod in (spherekernels, sphere, schoenberg):
+        assert not hasattr(mod, name)
+        assert name not in mod.__all__
+
+
+def test_point_set_has_no_distance_matrix():
+    assert not hasattr(SpherePointSet, "distance_matrix")

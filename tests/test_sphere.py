@@ -13,7 +13,6 @@ from scipy.spatial.distance import cdist
 from spherekernels import (
     SpherePointSet,
     gram_report,
-    great_circle,
     interpolate_fit,
     kernel,
     read_points,
@@ -27,14 +26,18 @@ from spherekernels.errors import DomainError
 from spherekernels.sphere import _gram_matrix, pairwise_angles
 
 
+def _angle(x, y):
+    return pairwise_angles(x[None], y[None])[0, 0]
+
+
 def test_great_circle_trivial_points():
     x = np.array([1.0, 0.0, 0.0])
-    assert great_circle(x, x) == 0.0
-    assert great_circle(x, -x) == pytest.approx(math.pi, abs=1e-15)
+    assert _angle(x, x) == 0.0
+    assert _angle(x, -x) == pytest.approx(math.pi, abs=1e-15)
     y = np.array([math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3), 0.0])
-    assert great_circle(x, y) == pytest.approx(2 * math.pi / 3, rel=1e-15)
+    assert _angle(x, y) == pytest.approx(2 * math.pi / 3, rel=1e-15)
     near = np.array([math.cos(1e-7), math.sin(1e-7), 0.0])
-    assert great_circle(x, near) == pytest.approx(1e-7, rel=1e-12)
+    assert _angle(x, near) == pytest.approx(1e-7, rel=1e-12)
 
 
 _coords = st.floats(-1.0, 1.0, allow_nan=False)
@@ -43,29 +46,21 @@ _coords = st.floats(-1.0, 1.0, allow_nan=False)
 @settings(deadline=None, max_examples=100)
 @given(st.lists(_coords, min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1),
        st.lists(_coords, min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 0.1))
-def test_great_circle_is_the_pairwise_formula(u, v):
+def test_pairwise_angles_is_zero_on_a_repeated_point_and_symmetric(u, v):
     x = np.array(u) / np.linalg.norm(u)
     y = np.array(v) / np.linalg.norm(v)
-    assert great_circle(x, x) == 0.0
-    assert great_circle(x, y) == pairwise_angles(x[None], y[None])[0, 0]
-
-
-def test_great_circle_rejects_non_unit():
-    with pytest.raises(DomainError):
-        great_circle(np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0]))
+    assert _angle(x, x) == 0.0
+    assert _angle(x, y) == _angle(y, x)
 
 
 def test_metric_axioms_on_random_triples():
+    # every triple of the 30 points: exact symmetry and the triangle inequality
     pts = sample_points(3, 30, seed=3).points
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        i, j, k = rng.choice(30, size=3, replace=False)
-        dij = great_circle(pts[i], pts[j])
-        dji = great_circle(pts[j], pts[i])
-        assert dij == dji  # symmetric exactly
-        dik = great_circle(pts[i], pts[k])
-        dkj = great_circle(pts[k], pts[j])
-        assert dij <= dik + dkj + 1e-12
+    dist = pairwise_angles(pts, pts)
+    assert np.array_equal(dist, dist.T)
+    # [i, k, j] holds d(i, k) + d(k, j), which bounds d(i, j)
+    detour = dist[:, :, None] + dist[None, :, :]
+    assert np.all(dist[:, None, :] <= detour + 1e-12)
 
 
 def test_sample_points_deterministic():
@@ -85,14 +80,14 @@ def test_sample_points_unit_norms():
 
 def test_equator_scheme():
     pts = sample_points(2, 3, "equator")
-    dist = pts.distance_matrix()
+    dist = pairwise_angles(pts.points, pts.points)
     off = dist[~np.eye(3, dtype=bool)]
     assert np.max(np.abs(off - 2 * math.pi / 3)) < 1e-14
 
 
 def test_fibonacci_quasi_uniform():
     pts = sample_points(2, 100, "fibonacci_s2")
-    dist = pts.distance_matrix()
+    dist = pairwise_angles(pts.points, pts.points)
     np.fill_diagonal(dist, np.inf)
     assert dist.min() > 0.1
 
@@ -137,14 +132,6 @@ def test_distances_build_only_the_result():
     assert np.array_equal(dist, dist.T) and not np.any(np.diag(dist))
 
 
-def test_distance_matrix_matches_great_circle():
-    pts = sample_points(2, 25, seed=9)
-    dist = pts.distance_matrix()
-    for i in (0, 7, 24):
-        for j in (3, 11):
-            assert dist[i, j] == pytest.approx(great_circle(pts.points[i], pts.points[j]), abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # Gram reports
 
@@ -167,7 +154,7 @@ def test_gram_psd_for_valid_kernels(spec):
 def test_gram_unit_diagonal_and_symmetry():
     pts = sample_points(2, 60, seed=5)
     K = kernel("sine_power", alpha=0.7)
-    gram = evaluate(K, pts.distance_matrix())
+    gram = evaluate(K, pairwise_angles(pts.points, pts.points))
     assert np.array_equal(gram, gram.T)
     assert np.max(np.abs(np.diag(gram) - 1.0)) < 1e-14
 
@@ -185,7 +172,7 @@ def test_gram_in_row_blocks_is_the_whole_matrix(monkeypatch, spec, d, n, entries
         monkeypatch.setattr(sphere, "_BLOCK_ENTRIES", entries)
     pts = sample_points(d, n, seed=d * 1000 + n)
     gram = _gram_matrix(spec, pts)
-    assert np.array_equal(gram, evaluate(spec, pts.distance_matrix()))
+    assert np.array_equal(gram, evaluate(spec, pairwise_angles(pts.points, pts.points)))
     assert np.array_equal(gram, gram.T)
 
 
@@ -214,7 +201,7 @@ def test_gram_evaluates_one_triangle(monkeypatch):
 
     gram = _gram_matrix(counting_psi, pts)
     assert sum(seen) <= 0.55 * n * n  # the whole matrix is n^2 values
-    assert np.array_equal(gram, evaluate(spec, pts.distance_matrix()))
+    assert np.array_equal(gram, evaluate(spec, pairwise_angles(pts.points, pts.points)))
 
 
 @pytest.mark.parametrize("use", ["interpolate_fit", "simulate"])
@@ -351,6 +338,10 @@ def test_read_points_rejects_extra_cells_and_columns(tmp_path):
         ("lat_deg,lon_deg,value,extra\n10,20,1,2\n", "unrecognized point columns"),
         ("lat_deg,lon_deg\n0,0\n10,20,999\n", "malformed row '10,20,999'.*3 cells"),
         ("x0,x1,x2\n0,1,0\n1,0,0,7\n", "malformed row '1,0,0,7'.*4 cells"),
+        # S^1 is the smallest sphere: fewer than two coordinate columns is no point file
+        ("value\n1\n2\n", r"unrecognized point columns \['value'\]"),
+        ("x0\n1\n-1\n", r"unrecognized point columns \['x0'\]"),
+        ("x0,value\n1,5\n", r"unrecognized point columns \['x0', 'value'\]"),
         ("lat_deg,lon_deg,value\n0,0,1\n10,20,1,99\n", "malformed row '10,20,1,99'.*4 cells"),
     ):
         path.write_text(text)
