@@ -18,6 +18,13 @@ edges.  The grading makes the scheme accurate to near machine precision
 even for profiles with a fractional-power singularity at the origin,
 where a single rule would stall at a few digits.
 
+The rule is a mirror about pi/2: its half on [0, pi/2] is split at every
+breakpoint b and at pi - b, and the other half is theta -> pi - theta with
+the same weights.  Since R_n(-x) = (-1)^n R_n(x), bit for bit in the
+recurrence, the projection folds the weighted profile onto the nodes below
+pi/2 (near + far for even n, near - far for odd n) and runs the basis
+recurrence on those nodes only: half the rule for a full-support kernel.
+
 One exact two-term recursion connects dimensions d and d+2 for every
 d >= 1 (the walk; two walks from the circle give S^5).  Verdicts are
 three-tier: FAIL is certified by a robustly negative coefficient, PASS is
@@ -69,7 +76,7 @@ class SchoenbergSequence:
 
     d: int
     coeffs: np.ndarray
-    quadrature_order: int  # theta nodes used: those where the weighted profile is nonzero
+    quadrature_order: int  # theta rule nodes where the weighted profile is nonzero
     source: str  # direct_quadrature | recursion | a coefficient file's label (unknown if none)
 
     def __post_init__(self):
@@ -132,16 +139,21 @@ class MembershipVerdict:
 # quadrature engine
 
 
-def _graded_unit_grid(levels: int) -> np.ndarray:
-    """Panel edges on [0, 1], geometrically refined toward both ends."""
+def _graded_unit_grid(levels: int, both_ends: bool) -> np.ndarray:
+    """Panel edges on [0, 1], geometrically refined toward 0, and toward 1 when ``both_ends``.
+
+    The one-sided grid is the left half of the two-sided one, stretched to [0, 1].
+    """
     left = [0.0] + [2.0 ** (-k) for k in range(levels, 1, -1)]
+    if not both_ends:
+        return np.array([2.0 * u for u in left] + [1.0])
     right = [1.0 - u for u in reversed(left)]
     return np.array(left + right[1:])
 
 
-def _piece_rule(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _piece_rule(a: float, b: float, n_max: int, grade_b: bool) -> tuple[np.ndarray, np.ndarray]:
     length = b - a
-    edges = a + length * _graded_unit_grid(_GRADE_LEVELS)
+    edges = a + length * _graded_unit_grid(_GRADE_LEVELS, grade_b)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
         h = hi - lo
@@ -158,18 +170,26 @@ def _piece_rule(a: float, b: float, n_max: int) -> tuple[np.ndarray, np.ndarray]
 
 @lru_cache(maxsize=8)
 def _theta_rule(breaks: tuple[float, ...], n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights on [0, pi], panels split at ``breaks``.
+    """Read-only nodes and weights on [0, pi], a mirror about pi/2 bit for bit.
 
-    ``breaks`` must be sorted and inside (0, pi), as ``catalog.as_psi`` returns them.
-    Memoized: one rule at n_max = 2000 holds about 4200 nodes (67 KB).
+    The h nodes below pi/2 come first: panels on [0, pi/2] split at every
+    break b and at pi - b, graded toward every edge but pi/2 (unless pi/2 is
+    a break).  The last h nodes are pi - x in reverse order, with the same
+    weights.  ``breaks`` must be sorted and inside (0, pi), as
+    ``catalog.as_psi`` returns them.  Memoized: one rule at n_max = 2000
+    holds 4176 nodes (67 KB) without breaks and up to about 9500 with two.
     """
-    edges = [0.0, *breaks, math.pi]
+    half = math.pi / 2
+    inner = {e for b in breaks for e in (b, math.pi - b) if 0.0 < e < half}
+    edges = [0.0, *sorted(inner), half]
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
-        x, w = _piece_rule(a, b, n_max)
+        x, w = _piece_rule(a, b, n_max, b < half or half in breaks)
         nodes.append(x)
         weights.append(w)
     x, w = np.concatenate(nodes), np.concatenate(weights)
+    x = np.concatenate([x, (math.pi - x)[::-1]])
+    w = np.concatenate([w, w[::-1]])
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
@@ -178,21 +198,32 @@ def _theta_rule(breaks: tuple[float, ...], n_max: int) -> tuple[np.ndarray, np.n
 def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule.
 
-    Only the nodes where the weighted profile is nonzero enter (NaN does):
-    a compactly supported psi skips its zeros, and ``quadrature_order`` is
-    the number of nodes used.
+    The rule mirrors about pi/2 and R_n(-x) = (-1)^n R_n(x), so the weighted
+    profile is folded onto the h nodes below pi/2: even rows integrate
+    near + far, odd rows near - far, where far is the profile at the mirrored
+    node.  The recurrence runs only on the nodes where either is nonzero (NaN
+    is kept): a compactly supported psi skips its zeros.  ``quadrature_order``
+    counts the rule's nodes where the weighted profile is nonzero.
     """
     n_max = _check_count("n_max", n_max, 0)
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
     fw = psi(x) * np.sin(x) ** (d - 1) * w
-    used = fw != 0
-    fw = fw[used]
+    h = x.size // 2
+    near, far = fw[:h], fw[h:][::-1]
+    used = (near != 0) | (far != 0)
+    near, far = near[used], far[used]
+    folded = (near + far, near - far)  # for even and odd n
     coeffs = np.empty(n_max + 1)
-    for start, S, s in _normalized_blocks(n_max, (d - 1) / 2.0, np.cos(x[used])):
-        np.multiply(S @ fw, s, out=coeffs[start : start + s.size])
+    for start, S, s in _normalized_blocks(n_max, (d - 1) / 2.0, np.cos(x[:h][used])):
+        for i in (0, 1):  # rows start + i, start + i + 2, ...
+            rows = slice(i, s.size, 2)
+            out = coeffs[start + i : start + s.size : 2]
+            np.multiply(S[rows] @ folded[(start + i) % 2], s[rows], out=out)
     coeffs *= _gegenbauer_scale(n_max, d)
-    return SchoenbergSequence(d, coeffs, quadrature_order=fw.size, source="direct_quadrature")
+    return SchoenbergSequence(
+        d, coeffs, quadrature_order=np.count_nonzero(fw), source="direct_quadrature"
+    )
 
 
 @lru_cache(maxsize=8)

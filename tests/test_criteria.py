@@ -1,12 +1,14 @@
 """Convexity-criterion checkers and their consistency with the verdicts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS
+from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
+from scipy.integrate import IntegrationWarning, quad
 
-from spherekernels import kernel, membership, polya_2n1, polya_circle, polya_s3
+from spherekernels import catalog, kernel, membership, polya_2n1, polya_circle, polya_s3
 from spherekernels.errors import DomainError
 
 
@@ -29,6 +31,27 @@ def test_circle_integral_on_the_theta_rule():
     # (1 - theta/c)_+^tau integrates to c/(tau+1); the rule splits at the support edge
     report = polya_circle(kernel("askey", c=0.5, tau=2.0))
     assert report.details["integral"] == pytest.approx(0.5 / 3.0, rel=1e-12)
+
+
+_POLYA_SPECS = (
+    DEFAULT_SPECS
+    + [kernel(family, **params) for family, points in IN_RANGE_POINTS.items() for params in points]
+    + [kernel("askey", c=2.5), kernel("gaspari_cohn", c=2.0)]
+)
+
+
+@pytest.mark.parametrize("spec", _POLYA_SPECS, ids=str)
+def test_circle_integral_matches_adaptive_quadrature(spec):
+    # reference: scipy's adaptive quad on each piece between the breakpoints
+    psi, breaks = catalog.as_psi(spec)
+    edges = [0.0, *breaks, math.pi]
+    f = lambda t: float(psi(np.array([t]))[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)  # rough profiles at the origin
+        ref = sum(quad(f, a, b, limit=200, epsabs=0.0, epsrel=1e-13)[0]
+                  for a, b in zip(edges[:-1], edges[1:]))
+    # measured at most 8.9e-16 (generalized_cauchy c = 2)
+    assert abs(polya_circle(spec).details["integral"] - ref) < 1e-14 * max(1.0, abs(ref))
 
 
 def test_circle_gaussian_no():

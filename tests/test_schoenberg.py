@@ -16,7 +16,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherekernels import catalog, kernel
+from spherekernels import catalog, kernel, schoenberg
 from spherekernels.errors import DimensionMismatchError, DomainError
 from spherekernels.schoenberg import (
     SchoenbergSequence,
@@ -32,7 +32,11 @@ from spherekernels.schoenberg import (
     walk_1_to_3,
     walk_d_to_d2,
 )
-from spherekernels.special import gegenbauer_normalized, gegenbauer_normalized_table
+from spherekernels.special import (
+    _normalized_blocks,
+    gegenbauer_normalized,
+    gegenbauer_normalized_table,
+)
 
 PI = math.pi
 
@@ -118,15 +122,86 @@ def test_fourier_matches_cosine_projection_on_the_same_rule(spec):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_projection_matches_the_table_on_the_same_rule(d):
-    # reference: the stored basis table times the weighted profile
+    # reference: the stored basis table on the h nodes below pi/2 times the
+    # folded profile, near + far for even n and near - far for odd n
+    # (measured at most 9.5e-11, at d = 5)
     n_max = 2000
     for spec in DEFAULT_SPECS:
         x, w = _theta_rule(catalog.breakpoints(spec), n_max)
+        h = x.size // 2
         fw = catalog.evaluate(spec, x) * np.sin(x) ** (d - 1) * w
-        table = gegenbauer_normalized_table(n_max, (d - 1) / 2.0, np.cos(x))
-        expected = _gegenbauer_scale(n_max, d) * (table @ fw)
+        near, far = fw[:h], fw[h:][::-1]
+        table = gegenbauer_normalized_table(n_max, (d - 1) / 2.0, np.cos(x[:h]))
+        even = np.arange(n_max + 1) % 2 == 0
+        folded = np.where(even, table @ (near + far), table @ (near - far))
+        expected = _gegenbauer_scale(n_max, d) * folded
         got = fourier_coeffs(spec, n_max) if d == 1 else gegenbauer_coeffs(spec, d, n_max)
         assert np.max(np.abs(got.coeffs - expected)) < 1e-9, spec
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_folded_projection_matches_the_unfolded_table(d):
+    # reference: the stored basis table on every node of the rule, the pi end
+    # included (measured at most 3.7e-14 g_{n,d}, at d = 1)
+    n_max = 2000
+    g = _gegenbauer_scale(n_max, d)
+    for spec in DEFAULT_SPECS + [kernel("askey", c=2.5)]:  # a break past pi/2
+        x, w = _theta_rule(catalog.breakpoints(spec), n_max)
+        fw = catalog.evaluate(spec, x) * np.sin(x) ** (d - 1) * w
+        expected = g * (gegenbauer_normalized_table(n_max, (d - 1) / 2.0, np.cos(x)) @ fw)
+        got = fourier_coeffs(spec, n_max) if d == 1 else gegenbauer_coeffs(spec, d, n_max)
+        assert np.all(np.abs(got.coeffs - expected) <= 1e-13 * g), spec
+
+
+@pytest.mark.parametrize("breaks", [(), (1.0,), (PI / 4, PI / 2), (2.5,), (PI / 2,)], ids=str)
+def test_theta_rule_mirrors_about_half_pi(breaks):
+    # (PI / 4, PI / 2) is gaspari_cohn's (c/2, c); askey c = 2.5 has its break past pi/2
+    x, w = _theta_rule(breaks, 300)
+    h = x.size // 2
+    assert x.size == 2 * h
+    assert np.array_equal(w, w[::-1])
+    assert np.array_equal(x[h:], (PI - x[:h])[::-1])
+    assert np.all(x[:h] < PI / 2) and np.all(np.diff(x) > 0)
+    assert abs(w.sum() - PI) < 1e-13
+
+
+def test_full_support_recurrence_runs_on_the_nodes_below_half_pi(monkeypatch):
+    # the rule has 4176 nodes at n_max = 2000, all used; the basis recurrence sees half
+    sizes = []
+
+    def recording(n_max, lam, x):
+        sizes.append(x.size)
+        return _normalized_blocks(n_max, lam, x)
+
+    monkeypatch.setattr(schoenberg, "_normalized_blocks", recording)
+    for d in (1, 3, 5):
+        seq = fourier_coeffs(_cos, 2000) if d == 1 else gegenbauer_coeffs(_cos, d, 2000)
+        assert seq.quadrature_order == 4176
+    assert sizes == [2088, 2088, 2088]
+
+
+# S^3 and S^5 coefficients of the circle closed forms, walked exactly:
+# (spec, closed form, its parameter, S^3 bound, S^5 bound), each bound
+# within 1.5 times the error measured before the fold (c = 0.3: 1.9e-12,
+# 2.9e-10; c = 1.5: 1.18e-11, 4.2e-9; alpha = 0.5: 5.9e-12, 2.1e-9;
+# alpha = 1.9: 1.35e-11, 5.7e-9)
+_WALKED_ORACLES = (
+    (kernel("matern", c=0.3, nu=0.5), circle_exponential_coeffs, 0.3, 2.8e-12, 4.4e-10),
+    (kernel("matern", c=1.5, nu=0.5), circle_exponential_coeffs, 1.5, 1.7e-11, 6.3e-9),
+    (kernel("sine_power", alpha=0.5), circle_sine_power_coeffs, 0.5, 8.9e-12, 3.1e-9),
+    (kernel("sine_power", alpha=1.9), circle_sine_power_coeffs, 1.9, 2.0e-11, 8.5e-9),
+)
+
+
+@pytest.mark.parametrize("spec,exact,param,tol3,tol5", _WALKED_ORACLES,
+                         ids=[str(o[0]) for o in _WALKED_ORACLES])
+def test_gegenbauer_matches_the_walked_circle_closed_forms(spec, exact, param, tol3, tol5):
+    n_max = 2000
+    s3 = walk_d_to_d2(SchoenbergSequence(1, exact(param, n_max + 4), 0, "exact"))
+    s5 = walk_d_to_d2(s3)
+    for d, walked, tol in ((3, s3, tol3), (5, s5, tol5)):
+        got = gegenbauer_coeffs(spec, d, n_max).coeffs
+        assert np.max(np.abs(got - walked.coeffs[: n_max + 1])) < tol, d
 
 
 def test_projection_does_not_store_the_basis():

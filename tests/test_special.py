@@ -297,6 +297,20 @@ def test_block_recurrence_matches_scipy(xs, lam, n_max):
     assert np.array_equal(gegenbauer_normalized(n_max, lam, x), table[-1])
 
 
+@settings(deadline=None, max_examples=30)
+@given(
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=8),
+    st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]),
+    st.integers(0, 2000),
+)
+def test_block_recurrence_is_exactly_even_or_odd(xs, lam, n_max):
+    # R_n(-x) = (-1)^n R_n(x) bit for bit: the projection folds the theta rule on it
+    x = np.array(xs)
+    sign = np.where(np.arange(n_max + 1) % 2 == 0, 1.0, -1.0)[:, None]
+    table = gegenbauer_normalized_table(n_max, lam, x)
+    assert np.array_equal(gegenbauer_normalized_table(n_max, lam, -x), sign * table)
+
+
 @pytest.mark.parametrize("lam", [0.0, 0.5, 49.5, 500.0])
 @pytest.mark.parametrize("size", [20000, 50000])
 def test_small_blocks_for_many_points_match_scipy(size, lam):
