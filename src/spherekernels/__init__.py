@@ -50,11 +50,7 @@ from .schoenberg import (
     walk_1_to_3,
     walk_d_to_d2,
 )
-from .special import (
-    bessel_k,
-    gauss_legendre,
-    gegenbauer_normalized,
-)
+from .special import bessel_k, gauss_legendre
 from .sphere import (
     GramReport,
     SpherePointSet,

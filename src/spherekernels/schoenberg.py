@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import binom
 
 from . import catalog
 from .errors import DimensionMismatchError, DomainError
@@ -68,6 +69,7 @@ __all__ = [
 
 _GRADE_LEVELS = 36
 _PHASE_PER_PANEL = 100.0  # max oscillation phase handled by one 48-point panel
+_STRICT_TOL = 1e-12  # strictness evidence counts the coefficients above this
 
 
 @dataclass(frozen=True)
@@ -111,7 +113,7 @@ class StrictnessEvidence:
     odd_count: int
     max_even_index: int  # -1 when none
     max_odd_index: int
-    # d = 1 only: arithmetic-progression condition for 0 <= j < n <= n_max
+    # d = 1 only: some b_{j+kn} > tol for every 0 <= j < n <= 10
     progressions_ok: bool | None = None
     failing_progressions: tuple[tuple[int, int], ...] = ()
 
@@ -230,18 +232,21 @@ def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
 def _gegenbauer_scale(n_max: int, d: int) -> np.ndarray:
     """g_{n,d} with b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi dt.
 
-    On the circle (d = 1) this is 1/pi for n = 0 and 2/pi after.  The
-    array is read-only and memoized.
+    For d >= 2, with lam = (d-1)/2 and C_n^lam(1) = binom(n+d-2, d-2),
+
+        g_{n,d} = (2n+d-1) binom(n+d-2, d-2) Gamma(lam)^2 / (2^{3-d} pi Gamma(2 lam)),
+
+    an integer times one constant; on the circle (d = 1), its limit, this is
+    1/pi for n = 0 and 2/pi after.  The array is read-only and memoized.
     """
     if d == 1:
         out = np.full(n_max + 1, 2.0 / math.pi)
         out[0] = 1.0 / math.pi
     else:
         lam = (d - 1) / 2.0
-        out = np.empty(n_max + 1)
-        out[0] = (d - 1) * math.gamma(lam) ** 2 / (2.0 ** (3 - d) * math.pi * math.gamma(2 * lam))
-        for n in range(n_max):
-            out[n + 1] = out[n] * (2 * n + d + 1) / (2 * n + d - 1) * (n + 2 * lam) / (n + 1)
+        n = np.arange(n_max + 1)
+        const = math.gamma(lam) ** 2 / (2.0 ** (3 - d) * math.pi * math.gamma(2 * lam))
+        out = (2 * n + d - 1) * binom(n + d - 2, d - 2) * const
     out.setflags(write=False)
     return out
 
@@ -307,37 +312,25 @@ def reconstruct(seq: SchoenbergSequence, theta):
     return float(vals) if arr.ndim == 0 else vals
 
 
-def strictness_evidence(
-    seq: SchoenbergSequence, *, tol: float = 1e-12, progression_n_max: int = 10
-) -> StrictnessEvidence:
-    """Report strictly positive coefficient counts (and, for d = 1, the
-    arithmetic-progression condition).  Evidence within the truncation
-    window only, never a proof."""
-    tol = _check_tolerance("tol", tol)
-    progression_n_max = _check_count("progression_n_max", progression_n_max, 1)
-    b = seq.coeffs
-    pos = np.flatnonzero(b > tol)
-    even = pos[pos % 2 == 0]
-    odd = pos[pos % 2 == 1]
-    progress_ok: bool | None = None
-    failing: tuple[tuple[int, int], ...] = ()
+def strictness_evidence(seq: SchoenbergSequence) -> StrictnessEvidence:
+    """Report the coefficients above 1e-12 by parity (and, for d = 1, the
+    arithmetic-progression condition for every step n <= 10).  Evidence
+    within the truncation window only, never a proof."""
+    positive = seq.coeffs > _STRICT_TOL
+    pos = np.flatnonzero(positive)
+    even, odd = pos[pos % 2 == 0], pos[pos % 2 == 1]
+    failing = None
     if seq.d == 1:
-        bad = []
-        for n in range(1, progression_n_max + 1):
-            for j in range(0, n):
-                if not np.any(b[j::n] > tol):
-                    bad.append((j, n))
-        progress_ok = not bad
-        failing = tuple(bad)
+        failing = tuple((j, n) for n in range(1, 11) for j in range(n) if not positive[j::n].any())
     return StrictnessEvidence(
         d=seq.d,
-        tol=tol,
+        tol=_STRICT_TOL,
         even_count=int(even.size),
         odd_count=int(odd.size),
         max_even_index=int(even[-1]) if even.size else -1,
         max_odd_index=int(odd[-1]) if odd.size else -1,
-        progressions_ok=progress_ok,
-        failing_progressions=failing,
+        progressions_ok=None if failing is None else not failing,
+        failing_progressions=failing or (),
     )
 
 

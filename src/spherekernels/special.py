@@ -16,9 +16,9 @@ from two normalized rows and runs the rescaled recurrence
 S_{n+1} = (2x) S_n - beta_n S_{n-1} with R_n = s_n S_n, one product and one
 BLAS axpy per row; s_n is a product of at most 32 factors in [1/2, 1], so
 it neither underflows nor overflows, and at lambda = 0 it is exactly 1.
-Callers consume a block whole: the (n + 1) x len(x) table, a single degree,
-a projection (two strided matrix-vector products per block, one on its
-even rows and one on its odd rows) or a reconstruction.
+Callers consume a block whole: the (n + 1) x len(x) table, a projection
+(two strided matrix-vector products per block, one on its even rows and
+one on its odd rows) or a reconstruction.
 
 ``gauss_legendre(m)`` is the one Gauss-Legendre builder; ``schoenberg``'s theta rule uses it.
 
@@ -46,7 +46,6 @@ __all__ = [
     "BESSEL_K_MIN_T",
     "bessel_k",
     "gauss_legendre",
-    "gegenbauer_normalized",
     "gegenbauer_normalized_table",
 ]
 
@@ -93,20 +92,6 @@ def gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _check_poly_args(n: int, lam: float, x) -> tuple[int, np.ndarray]:
-    """The basis-argument gate: n a count, lam >= 0 and x in [-1, 1] within 1e-12, clipped.
-
-    Returns n as an int and the clipped x; NaN fails.
-    """
-    n = _check_count("polynomial degree", n, 0)
-    if not lam >= 0:
-        raise DomainError(f"Gegenbauer parameter must be >= 0, got {lam}")
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
-        raise DomainError("Gegenbauer argument must lie in [-1, 1]")
-    return n, np.clip(arr, -1.0, 1.0)
-
-
 _BLOCK_ROWS = 32  # rows per block; the scale s_n stays within [2^-32, 1]
 _BLOCK_ENTRIES = 2**17  # the block buffer, start rows included, holds about this many values
 
@@ -130,8 +115,7 @@ def _normalized_blocks(
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Yield (start, S, s) with R_{start+i}(x) = s[i] * S[i], covering n = 0..n_max.
 
-    ``x`` is unchecked 1-d float in [-1, 1] and is overwritten with 2x, so
-    callers pass an array of their own.  S and s are views of one buffer
+    ``x`` is unchecked 1-d float in [-1, 1].  S and s are views of one buffer
     that the next block overwrites: a caller that keeps a block must copy it.
     """
     if x.size == 0:  # BLAS rejects an empty vector, and every row is empty
@@ -147,7 +131,7 @@ def _normalized_blocks(
     if n_max <= 1:
         yield 0, buf, s
         return
-    x2 = np.multiply(x, 2.0, out=x)
+    x2 = 2.0 * x
     S = list(buf)
     k = 1  # the block starts from rows k - 1 and k
     while True:
@@ -172,22 +156,20 @@ def gegenbauer_normalized_table(n_max: int, lam: float, x: np.ndarray) -> np.nda
     """Table of C_n^lam(x)/C_n^lam(1) for n = 0..n_max, shape (n_max + 1, len(x)).
 
     At lam = 0 the rows are the Chebyshev polynomials, cos(n arccos x).
+    n_max is a count, lam >= 0 and x lies in [-1, 1] within 1e-12 (clipped);
+    NaN fails.  One degree n is the last row of the table for n_max = n.
     """
-    n_max, arr = _check_poly_args(n_max, lam, x)
+    n_max = _check_count("polynomial degree", n_max, 0)
+    if not lam >= 0:
+        raise DomainError(f"Gegenbauer parameter must be >= 0, got {lam}")
+    arr = np.asarray(x, dtype=float)
+    if not np.all(np.abs(arr) <= 1.0 + 1e-12):
+        raise DomainError("Gegenbauer argument must lie in [-1, 1]")
+    arr = np.clip(arr, -1.0, 1.0).ravel()
     table = np.empty((n_max + 1, arr.size))
-    for start, S, s in _normalized_blocks(n_max, lam, arr.ravel()):
+    for start, S, s in _normalized_blocks(n_max, lam, arr):
         np.multiply(S, s[:, None], out=table[start : start + s.size])
     return table
-
-
-def gegenbauer_normalized(n: int, lam: float, x):
-    """Evaluate C_n^lam(x) / C_n^lam(1), keeping one block of the recurrence."""
-    n, arr = _check_poly_args(n, lam, x)
-    flat = arr.ravel()
-    for _, S, s in _normalized_blocks(n, lam, flat):
-        pass
-    np.multiply(S[-1], s[-1], out=flat)  # flat held 2x until the last block
-    return float(flat[0]) if arr.ndim == 0 else flat.reshape(arr.shape)
 
 
 def bessel_k(nu: float, t):

@@ -39,7 +39,7 @@ from spherekernels.schoenberg import (
     walk_1_to_3,
     walk_d_to_d2,
 )
-from spherekernels.special import gegenbauer_normalized
+from spherekernels.special import gegenbauer_normalized_table
 from spherekernels.sphere import pairwise_angles
 
 PI = math.pi
@@ -115,8 +115,10 @@ def test_criterion_03_validity_sweep():
 
 
 def _gegenbauer(n, lam, x):
-    # the package's normalized recurrence times C_n^lam(1) = binom(n + 2 lam - 1, n)
-    return gegenbauer_normalized(n, lam, x) * scipy_special.binom(n + 2 * lam - 1, n)
+    # degree n of the package's normalized recurrence (the table's last row)
+    # times C_n^lam(1) = binom(n + 2 lam - 1, n)
+    row = gegenbauer_normalized_table(n, lam, x)[-1]
+    return row * scipy_special.binom(n + 2 * lam - 1, n)
 
 
 def test_criterion_04_gegenbauer_identities():

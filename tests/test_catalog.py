@@ -1,7 +1,9 @@
 """Kernel family closed forms, validation and the chordal substitution."""
 
 import dataclasses
+import io
 import math
+import os
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
 from spherekernels import (
     KernelSpec,
     SchoenbergSequence,
+    SpherePointSet,
     bessel_k,
     estimate_fractal_index,
     evaluate,
@@ -19,7 +22,6 @@ from spherekernels import (
     fractal_index_theoretical,
     gauss_legendre,
     gegenbauer_coeffs,
-    gegenbauer_normalized,
     gram_report,
     interpolate_eval,
     interpolate_fit,
@@ -33,8 +35,8 @@ from spherekernels import (
     reconstruct,
     sample_points,
     simulate,
-    strictness_evidence,
     validate_params,
+    write_points,
     yadrenko,
 )
 from spherekernels.catalog import (
@@ -43,6 +45,7 @@ from spherekernels.catalog import (
     breakpoints,
     euclid_derivative,
 )
+from spherekernels.schoenberg import from_csv
 from spherekernels.special import gegenbauer_normalized_table
 from spherekernels.errors import (
     DimensionMismatchError,
@@ -202,9 +205,13 @@ def test_parse_kernel_roundtrip():
     assert parse_kernel("cosine").family == "cosine"
     # missing parameters come from family defaults
     assert parse_kernel("askey:c=1").params["tau"] == 2.0
+    # an empty item between commas is skipped
+    assert parse_kernel("matern:c=1,,nu=0.5") == kernel("matern", c=1.0, nu=0.5)
 
 
 def test_parse_kernel_errors():
+    with pytest.raises(ParameterError, match="empty kernel specification"):
+        parse_kernel("  ")
     with pytest.raises(ParameterError):
         parse_kernel("matern:c")
     with pytest.raises(ParameterError):
@@ -257,6 +264,12 @@ def test_validation_spec_examples():
         ("gaspari_cohn", {"c": math.pi}, 3, True),
         ("gaspari_cohn", {"c": 3.5}, 0, False),
         ("cosine", {}, math.inf, False),
+        # a scale c <= 0 is valid on no sphere
+        ("powered_exponential", {"c": -1.0, "alpha": 1.0}, 0, False),
+        ("matern", {"c": -1.0, "nu": 0.5}, 0, False),
+        ("generalized_cauchy", {"c": -1.0, "alpha": 1.0, "tau": 1.0}, 0, False),
+        ("dagum", {"c": -1.0, "tau": 1.0, "alpha": 0.5}, 0, False),
+        ("spherical", {"c": -1.0}, 0, False),
     ],
 )
 def test_validity_table(name, params, max_valid_d, strict):
@@ -361,7 +374,7 @@ _OUTSIDE = {
     "euclid_derivative-negative": lambda: euclid_derivative(_PE, -1.0),
     "euclid_derivative": lambda: euclid_derivative(_PE, _NAN),
     "yadrenko": lambda: yadrenko(_MATERN, _NAN),
-    "gegenbauer_normalized": lambda: gegenbauer_normalized(3, 0.5, _NAN),
+    "gegenbauer_normalized_table": lambda: gegenbauer_normalized_table(3, 0.5, _NAN),
     "reconstruct": lambda: reconstruct(fourier_coeffs(_MATERN, 20), _NAN),
     "localization_compare": lambda: localization_compare(1.0, [0.0, _NAN]),
     "interpolate_eval": lambda: interpolate_eval(_interpolant(), [_NAN, 0.0, 1.0]),
@@ -380,13 +393,25 @@ _OUTSIDE = {
     "sample_points-seed": lambda: sample_points(2, 5, seed=-1),
     "sample_points-seed-fraction": lambda: sample_points(2, 5, seed=2.5),
     "simulate-seed": lambda: simulate(_MATERN, sample_points(2, 5, seed=0), 2, seed=-1),
+    "interpolate_fit-data-shape": lambda: interpolate_fit(
+        _MATERN, sample_points(2, 3, seed=0), [0.0, 1.0]
+    ),
+    "SpherePointSet-one-column": lambda: SpherePointSet(np.ones((3, 1))),
+    "write_points-too-few-values": lambda: write_points(
+        sample_points(2, 3, seed=0), os.devnull, values=[1.0, 2.0]
+    ),
+    "SchoenbergSequence-empty": lambda: SchoenbergSequence(1, [], 0, "x"),
+    "from_csv-no-rows": lambda: from_csv(io.StringIO("# d=1\nn,b\n")),
+    "euclid_derivative-order-4": lambda: euclid_derivative(_PE, 0.5, 4),
+    "polya_s3-phi0": lambda: polya_s3(
+        lambda t: 0.5 * np.exp(-t), dphi=lambda t: -0.5 * np.exp(-t)
+    ),
 }
 # Every tolerance (and the ridge) must be finite and >= 0, a Polya horizon finite and > 0.
 _TOLERANCES = {
     "membership-tol_fail": lambda v: membership(_MATERN, 2, 20, tol_fail=v),
     "membership-tol_pass": lambda v: membership(_MATERN, 2, 20, tol_pass=v),
     "membership-tail_tol": lambda v: membership(_MATERN, 2, 20, tail_tol=v),
-    "strictness_evidence-tol": lambda v: strictness_evidence(_SEQ, tol=v),
     "gram_report-tol": lambda v: gram_report(_MATERN, sample_points(2, 5, seed=0), tol=v),
     "interpolate_fit-ridge": lambda v: interpolate_fit(
         _MATERN, sample_points(2, 5, seed=0), np.arange(5.0), ridge=v
@@ -411,7 +436,6 @@ def test_input_outside_its_domain_is_a_domain_error(call):
 
 
 _ASKEY5 = kernel("askey", c=1.0, tau=5.0)
-_SEQ = fourier_coeffs(_MATERN, 30)
 
 # Every integer count in the API: the call with the count as its one
 # argument, an integer value it accepts, and the error for a non-integer.
@@ -427,10 +451,6 @@ _COUNTS = {
     "SchoenbergSequence-quadrature_order": (
         lambda v: SchoenbergSequence(1, [1.0], v, "x"), 3, DomainError
     ),
-    "strictness_evidence-progression_n_max": (
-        lambda v: strictness_evidence(_SEQ, progression_n_max=v), 3, DomainError
-    ),
-    "gegenbauer_normalized-n": (lambda v: gegenbauer_normalized(v, 0.5, 0.3), 3, DomainError),
     "gegenbauer_normalized_table-n_max": (
         lambda v: gegenbauer_normalized_table(v, 0.5, [0.3, 0.6]), 3, DomainError
     ),

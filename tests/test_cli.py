@@ -276,6 +276,18 @@ def test_simulate_deterministic_output(capsys):
     assert len(rows) == 4 and len(rows[0]) == 7
 
 
+def test_simulate_notes_the_jitter_on_stderr_only(capsys):
+    # cosine on three equator points has a singular Gram matrix: the factorization
+    # takes the first jitter step, and stdout stays the CSV draws alone
+    code, out, err = _run(capsys, "simulate", "--kernel", "cosine", "--scheme", "equator",
+                          "--n-points", "3", "--samples", "4", "--seed", "2")
+    assert code == 0
+    assert err == "jitter used: 1e-12\n"
+    lines = out.splitlines()
+    assert lines[0] == "draw,v0,v1,v2" and len(lines) == 5
+    assert [int(r["draw"]) for r in _rows(out)] == [0, 1, 2, 3]
+
+
 # verb, file flag, file content, text the one-line error must contain
 _BAD_FILES = [
     ("interp", "--points", "lat_deg,lon_deg,value\n0,0,1.0\n30,abc,2.0\n", "30,abc,2.0"),

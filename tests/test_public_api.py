@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 
 import pytest
 
@@ -17,9 +18,12 @@ def test_every_exported_name_resolves(module):
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
-@pytest.mark.parametrize("name", ["gegenbauer", "gegenbauer_one", "legendre"])
+@pytest.mark.parametrize(
+    "name", ["gegenbauer", "gegenbauer_one", "legendre", "gegenbauer_normalized"]
+)
 def test_removed_polynomial_names_are_gone(name):
-    # C_n^lam is gegenbauer_normalized times C_n^lam(1); Legendre is its lam = 1/2 case
+    # one degree is the last row of gegenbauer_normalized_table; C_n^lam is that row
+    # times C_n^lam(1), and Legendre is its lam = 1/2 case
     for mod in (spherekernels, special):
         assert not hasattr(mod, name)
         assert name not in mod.__all__
@@ -40,3 +44,9 @@ def test_removed_distance_and_series_names_are_gone(name):
 
 def test_point_set_has_no_distance_matrix():
     assert not hasattr(SpherePointSet, "distance_matrix")
+
+
+def test_strictness_evidence_takes_no_options():
+    # the 1e-12 threshold and the progressions n <= 10 are fixed, as membership's counts are
+    params = inspect.signature(schoenberg.strictness_evidence).parameters
+    assert list(params) == ["seq"]

@@ -3,6 +3,7 @@
 import io
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -32,11 +33,7 @@ from spherekernels.schoenberg import (
     walk_1_to_3,
     walk_d_to_d2,
 )
-from spherekernels.special import (
-    _normalized_blocks,
-    gegenbauer_normalized,
-    gegenbauer_normalized_table,
-)
+from spherekernels.special import _normalized_blocks, gegenbauer_normalized_table
 
 PI = math.pi
 
@@ -283,6 +280,26 @@ def test_cached_rule_and_scale_are_read_only():
     assert _gegenbauer_scale(200, 3) is _gegenbauer_scale(200, 3)
 
 
+_PI_50 = Decimal("3.1415926535897932384626433832795028841971693993751")
+
+
+@pytest.mark.parametrize("d,integer,divisor", [
+    (3, lambda n: 2 * (n + 1) ** 2, 1),
+    (5, lambda n: (2 * n + 4) * (n + 1) * (n + 2) * (n + 3), 9),
+], ids=["S^3", "S^5"])
+def test_gegenbauer_scale_matches_its_closed_form(d, integer, divisor):
+    # g_{n,3} = 2(n+1)^2/pi and g_{n,5} = (2n+4)(n+1)(n+2)(n+3)/(9 pi) in 50 digits
+    # (measured within 1.7e-16 relative): the integer part is exact in a double, so
+    # only the constant and one product round
+    g = _gegenbauer_scale(2000, d)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        worst = max(
+            abs(Decimal(float(g[n])) * divisor * _PI_50 / integer(n) - 1) for n in range(2001)
+        )
+    assert worst < Decimal("4.5e-16")
+
+
 # ---------------------------------------------------------------------------
 # Gegenbauer (d >= 2) coefficients
 
@@ -305,7 +322,7 @@ def test_gegenbauer_cos_squared_d3():
 @pytest.mark.parametrize("d,m", [(2, 7), (3, 5), (5, 4), (7, 3)])
 def test_gegenbauer_projection_recovers_basis_element(d, m):
     lam = (d - 1) / 2.0
-    psi = lambda th: gegenbauer_normalized(m, lam, np.cos(th))
+    psi = lambda th: gegenbauer_normalized_table(m, lam, np.cos(th))[-1]
     seq = gegenbauer_coeffs(psi, d, 12)
     expected = np.zeros(13)
     expected[m] = 1.0
@@ -372,6 +389,8 @@ def test_walk_dimension_mismatches():
     seq1 = SchoenbergSequence(1, [1.0, 0, 0, 0], 0, "analytic")
     assert walk_d_to_d2(seq1).d == 3
     assert np.array_equal(walk_d_to_d2(seq1).coeffs, walk_1_to_3(seq1).coeffs)
+    with pytest.raises(DimensionMismatchError, match="up to n=2"):
+        walk_d_to_d2(SchoenbergSequence(3, [1.0, 0.0], 0, "analytic"))
 
 
 def _reference_walk(b, d):
@@ -620,6 +639,18 @@ def test_strictness_cosine_progressions():
     assert (0, 2) in ev.failing_progressions
 
 
+def test_strictness_threshold_and_progression_steps_are_fixed():
+    # a coefficient counts when above 1e-12; the d = 1 progressions run to step 10
+    b = np.zeros(23)
+    b[[0, 11, 22]] = 1.0
+    b[1], b[2] = 1e-12, 2e-12
+    ev = strictness_evidence(SchoenbergSequence(1, b, 0, "x"))
+    assert ev.tol == 1e-12
+    assert (ev.even_count, ev.odd_count, ev.max_even_index, ev.max_odd_index) == (3, 1, 22, 11)
+    assert ev.progressions_ok is False and (1, 4) in ev.failing_progressions
+    assert max(n for _, n in ev.failing_progressions) == 10
+
+
 def test_strictness_multiquadric_all_positive():
     seq = gegenbauer_coeffs(kernel("multiquadric", tau=1.0, delta=0.5), 2, 40)
     assert np.all(seq.coeffs > 0)
@@ -644,6 +675,9 @@ def test_csv_roundtrip():
     assert back.source == seq.source
     assert back.quadrature_order == seq.quadrature_order
     assert np.array_equal(back.coeffs, seq.coeffs)
+    # blank lines, spaces around them included, are skipped
+    spaced = from_csv(io.StringIO(text.replace("\n1,", "\n\n  \n1,")))
+    assert np.array_equal(spaced.coeffs, seq.coeffs)
 
 
 @pytest.mark.parametrize("indices", [(0, 1, 3), (0, 1, 3, 3), (0, 1, 1, 2), (-1, 0, 1), (1, 2)])

@@ -1,7 +1,6 @@
 """Orthogonal polynomials, Bessel evaluation and quadrature rules."""
 
 import math
-import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
 
@@ -17,7 +16,6 @@ from spherekernels.errors import DomainError
 from spherekernels.special import (
     bessel_k,
     gauss_legendre,
-    gegenbauer_normalized,
     gegenbauer_normalized_table,
 )
 
@@ -156,11 +154,16 @@ def test_bessel_k_domain_errors():
 # Gegenbauer
 
 
+def _degree(n, lam, x):
+    # one degree of the normalized recurrence: the table's last row, shaped like x
+    return gegenbauer_normalized_table(n, lam, x)[-1].reshape(np.shape(x))
+
+
 def _classical(n, lam, x):
     # C_n^lam(x) from the package's normalized recurrence, scaled by
     # C_n^lam(1) = binom(n + 2 lam - 1, n); cos(n arccos x) at lam = 0
     scale = 1.0 if lam == 0.0 else scipy_special.binom(n + 2 * lam - 1, n)
-    return gegenbauer_normalized(n, lam, x) * scale
+    return _degree(n, lam, x) * scale
 
 
 def test_gegenbauer_spec_values():
@@ -172,19 +175,19 @@ def test_gegenbauer_spec_values():
 def test_gegenbauer_normalized_values():
     for lam in (0.5, 1.0, 2.5):
         for n in (0, 1, 3, 10):
-            assert gegenbauer_normalized(n, lam, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert gegenbauer_normalized(1, lam, 0.37) == pytest.approx(0.37, rel=1e-14)
+            assert _degree(n, lam, 1.0) == pytest.approx(1.0, abs=1e-12)
+        assert _degree(1, lam, 0.37) == pytest.approx(0.37, rel=1e-14)
     # C_2^1(x) = 4x^2 - 1, C_2^1(1) = 3
-    assert gegenbauer_normalized(2, 1.0, 0.0) == pytest.approx(-1.0 / 3.0, rel=1e-14)
+    assert _degree(2, 1.0, 0.0) == pytest.approx(-1.0 / 3.0, rel=1e-14)
 
 
 def test_gegenbauer_domain_errors():
     with pytest.raises(DomainError):
-        gegenbauer_normalized(2, 1.0, 1.5)
+        gegenbauer_normalized_table(2, 1.0, 1.5)
     with pytest.raises(DomainError):
-        gegenbauer_normalized(2, -0.5, 0.5)
+        gegenbauer_normalized_table(2, -0.5, 0.5)
     with pytest.raises(DomainError):
-        gegenbauer_normalized(-1, 1.0, 0.5)
+        gegenbauer_normalized_table(-1, 1.0, 0.5)
 
 
 def test_generating_function_identity():
@@ -242,27 +245,18 @@ def test_recurrence_matches_scipy_oracle(lam):
 @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
 @pytest.mark.parametrize("n", [0, 1, 2, 50])
 def test_single_degree_is_the_table_last_row(n, lam):
-    # one recurrence behind both: bit for bit, for a vector and for a scalar
+    # degree n is the last row of the table to n: bit for bit the same row of a
+    # longer table, for a vector and for a scalar; x itself is never written
     x = np.linspace(-1.0, 1.0, 9)
-    assert np.array_equal(gegenbauer_normalized(n, lam, x), gegenbauer_normalized_table(n, lam, x)[-1])
-    value = gegenbauer_normalized(n, lam, 0.3)
-    assert isinstance(value, float)
-    assert value == gegenbauer_normalized_table(n, lam, 0.3)[-1, 0]
-    assert gegenbauer_normalized(n, lam, np.empty(0)).shape == (0,)
+    kept = x.copy()
+    assert np.array_equal(gegenbauer_normalized_table(n, lam, x)[-1],
+                          gegenbauer_normalized_table(n + 40, lam, x)[n])
+    assert gegenbauer_normalized_table(n, lam, 0.3).shape == (n + 1, 1)
+    assert _degree(n, lam, 0.3) == gegenbauer_normalized_table(n + 40, lam, 0.3)[n, 0]
     assert gegenbauer_normalized_table(n, lam, np.empty(0)).shape == (n + 1, 0)
-
-
-def test_single_degree_keeps_two_rows():
-    # the recurrence is streamed: one block of at most 34 rows, no (n + 1) x len(x) table
-    x = np.linspace(-1.0, 1.0, 2000)
-    tracemalloc.start()
-    try:
-        out = gegenbauer_normalized(2000, 1.0, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1e6
-    assert np.array_equal(out, gegenbauer_normalized_table(2000, 1.0, x)[-1])
+    for _ in special._normalized_blocks(n, lam, x):
+        pass
+    assert np.array_equal(x, kept)
 
 
 def _normalized_oracle(n_max, lam, x):
@@ -294,7 +288,6 @@ def test_block_recurrence_matches_scipy(xs, lam, n_max):
     table = gegenbauer_normalized_table(n_max, lam, x)
     assert table.shape == (n_max + 1, x.size)
     assert np.max(np.abs(table - _normalized_oracle(n_max, lam, x))) < 1e-12
-    assert np.array_equal(gegenbauer_normalized(n_max, lam, x), table[-1])
 
 
 @settings(deadline=None, max_examples=30)
@@ -338,30 +331,13 @@ def test_block_buffer_is_capped_near_one_megabyte():
     assert special._block_rows(10**6) == 1  # a large x never gets 30 rows
 
 
-def test_single_degree_on_a_million_points_peaks_below_the_three_row_stream():
-    # the bound is the peak of the three-row stream that the blocks replaced:
-    # the clipped copy of x and three rows, 4.0011 * x.nbytes for this call
-    x = np.linspace(-1.0, 1.0, 10**6)
-    tracemalloc.start()
-    try:
-        out = gegenbauer_normalized(100, 1.0, x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4.0011 * x.nbytes
-    assert out.shape == x.shape
-    picks = slice(None, None, 9973)
-    oracle = scipy_special.eval_gegenbauer(100, 1.0, x[picks]) / 101.0
-    assert np.max(np.abs(out[picks] - oracle)) < 1e-13
-
-
 def test_recurrence_bound_on_random_samples():
     rng = np.random.default_rng(42)
     for _ in range(200):
         n = int(rng.integers(0, 60))
         lam = float(rng.uniform(0.0, 4.0))
         x = float(rng.uniform(-1.0, 1.0))
-        assert abs(gegenbauer_normalized(n, lam, x)) <= 1.0 + 1e-12
+        assert abs(_degree(n, lam, x)) <= 1.0 + 1e-12
 
 
 # ---------------------------------------------------------------------------
