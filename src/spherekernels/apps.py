@@ -60,28 +60,32 @@ class FieldSample:
     jitter_used: float
 
 
-def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of an exactly symmetric K, escalating jitter on failure.
+def _chol_with_jitter(kern, pts: SpherePointSet, ridge: float = 0.0) -> tuple[np.ndarray, float]:
+    """Build K + ridge I on pts and factor it in its own memory, escalating jitter on failure.
 
-    Every rung copies K into one work array, adds the rung's jitter to the
-    copy's diagonal and factors the copy in place, so K is never modified and
-    a failed rung leaves nothing behind.  The transpose of the C-order copy is
-    Fortran-contiguous, which LAPACK takes without another copy, and equals K
-    because K is symmetric.  With the ridge of ``interpolate_fit`` added to
-    K's own diagonal, a fit or a simulation holds at most two N x N arrays:
-    K and the work array that becomes the factor.
+    Each rung builds K, adds the ridge and the rung's jitter (a multiple of
+    the mean diagonal of K + ridge I) to K's diagonal and factors K.T in
+    place: the transpose of the C-order, exactly symmetric K is
+    Fortran-contiguous and equals K, so LAPACK takes it without a copy and
+    the factor returned is K's own memory.  A fit or a simulation thus holds
+    one N x N array.  A failed rung leaves nothing to restore from (scipy
+    zeroes the upper triangle whether or not potrf succeeds), so it drops
+    its array and the next rung builds K again, bit for bit the same; only
+    the jitter path pays for the extra builds.
     """
-    diag = np.diag(K)
-    base = float(np.mean(diag))
-    work = np.empty(K.shape)
+    step = pts.n_points + 1
+    base = None
     for level in JITTER_LADDER:
-        np.copyto(work, K)
-        np.fill_diagonal(work, diag + level * base)
+        K = _gram_matrix(kern, pts)
+        K.flat[::step] += ridge
+        if base is None:
+            base = float(np.mean(np.diag(K)))
+        K.flat[::step] += level * base
         try:
-            L = scipy.linalg.cholesky(work.T, lower=True, overwrite_a=True)
-            return L, level * base
+            return scipy.linalg.cholesky(K.T, lower=True, overwrite_a=True), level * base
         except scipy.linalg.LinAlgError:
-            continue
+            pass
+        del K  # before the next build, so that a jitter run never holds two arrays
     raise FactorizationError(
         f"Gram matrix not positive definite even with jitter {JITTER_LADDER[-1]:g} * diag"
     )
@@ -93,9 +97,10 @@ def interpolate_fit(
     """Solve (K + ridge I) w = data for the interpolation weights.
 
     The kernel must be valid and strictly positive definite for the node
-    dimension; otherwise the verdict's rule is quoted in the error.  A
-    failing factorization retries with jitter 1e-12/1e-10/1e-8 times the
-    mean diagonal; the jitter actually used is recorded on the result.
+    dimension; otherwise the verdict's rule is quoted in the error.  K + ridge I
+    is factored in the one N x N array it is built in.  A failing
+    factorization rebuilds K and retries with jitter 1e-12/1e-10/1e-8 times
+    the mean diagonal; the jitter actually used is recorded on the result.
     """
     verdict = catalog.validate_params(spec, nodes.d)
     if not (verdict.valid and verdict.strict):
@@ -109,10 +114,9 @@ def interpolate_fit(
     if not np.all(np.isfinite(y)):
         raise DomainError("data must be finite")
     ridge = _check_tolerance("ridge", ridge)
-    K = _gram_matrix(spec, nodes)
-    K.flat[:: nodes.n_points + 1] += ridge
-    L, jitter = _chol_with_jitter(K)
-    w = scipy.linalg.cho_solve((L, True), y)
+    L, jitter = _chol_with_jitter(spec, nodes, ridge)
+    # L factors a K that cholesky checked for finiteness, so it is finite too
+    w = scipy.linalg.cho_solve((L, True), y, check_finite=False)
     return Interpolant(spec=spec, nodes=nodes, weights=w, ridge=ridge, jitter_used=jitter)
 
 
@@ -145,7 +149,8 @@ def simulate(
     """Draw centered Gaussian samples with covariance K on a point set.
 
     Uses one seeded generator; draw i occupies row i regardless of how
-    many samples are requested afterwards.
+    many samples are requested afterwards.  K is factored in the one N x N
+    array it is built in, with the jitter ladder of ``interpolate_fit``.
     """
     verdict = catalog.validate_params(spec, pts.d)
     if not verdict.valid:
@@ -154,7 +159,7 @@ def simulate(
         )
     n_samples = _check_count("n_samples", n_samples, 1)
     rng = _rng(seed)
-    L, jitter = _chol_with_jitter(_gram_matrix(spec, pts))
+    L, jitter = _chol_with_jitter(spec, pts)
     z = rng.standard_normal((n_samples, pts.n_points))
     return FieldSample(points=pts, values=z @ L.T, spec=spec, seed=seed, jitter_used=jitter)
 

@@ -208,6 +208,7 @@ def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     counts the rule's nodes where the weighted profile is nonzero.
     """
     n_max = _check_count("n_max", n_max, 0)
+    scale = _gegenbauer_scale(n_max, d)  # first: a d too large fails before the projection
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
     fw = psi(x) * np.sin(x) ** (d - 1) * w
@@ -222,7 +223,7 @@ def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
             rows = slice(i, s.size, 2)
             out = coeffs[start + i : start + s.size : 2]
             np.multiply(S[rows] @ folded[(start + i) % 2], s[rows], out=out)
-    coeffs *= _gegenbauer_scale(n_max, d)
+    coeffs *= scale
     return SchoenbergSequence(
         d, coeffs, quadrature_order=np.count_nonzero(fw), source="direct_quadrature"
     )
@@ -238,6 +239,8 @@ def _gegenbauer_scale(n_max: int, d: int) -> np.ndarray:
 
     an integer times one constant; on the circle (d = 1), its limit, this is
     1/pi for n = 0 and 2/pi after.  The array is read-only and memoized.
+    Where a g_{n,d} is not a finite double (Gamma(d-1) overflows from
+    d = 173 on) the dimension is too large and a DomainError names it.
     """
     if d == 1:
         out = np.full(n_max + 1, 2.0 / math.pi)
@@ -245,8 +248,17 @@ def _gegenbauer_scale(n_max: int, d: int) -> np.ndarray:
     else:
         lam = (d - 1) / 2.0
         n = np.arange(n_max + 1)
-        const = math.gamma(lam) ** 2 / (2.0 ** (3 - d) * math.pi * math.gamma(2 * lam))
-        out = (2 * n + d - 1) * binom(n + d - 2, d - 2) * const
+        try:
+            const = math.gamma(lam) ** 2 / (2.0 ** (3 - d) * math.pi * math.gamma(2 * lam))
+        except OverflowError:
+            const = math.inf
+        with np.errstate(over="ignore"):
+            out = (2 * n + d - 1) * binom(n + d - 2, d - 2) * const
+        if not np.all(np.isfinite(out)):
+            raise DomainError(
+                f"d = {d} is too large: the Schoenberg scale g_(n,d) overflows a double "
+                f"for n <= {n_max}"
+            )
     out.setflags(write=False)
     return out
 

@@ -9,6 +9,7 @@ import scipy.linalg
 from conftest import STRICT_DEFAULT_SPECS
 
 from spherekernels import (
+    apps,
     estimate_fractal_index,
     fractal_index_theoretical,
     interpolate_eval,
@@ -167,46 +168,80 @@ def test_simulation_rejects_invalid_kernel():
 # the jitter ladder
 
 
-def _equator_cosine_gram(scale=1.0):
-    # rank 2: the rows of three equally spaced points sum to zero
-    return scale * _gram_matrix(kernel("cosine"), sample_points(2, 3, "equator"))
+_EQUATOR = sample_points(2, 3, "equator")
+
+
+def _scaled_cosine(scale):
+    # rank 2 on the equator points: the rows of three equally spaced points sum to zero
+    return lambda theta: scale * np.cos(theta)
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Every Gram matrix the jitter ladder builds, in order."""
+    built = []
+
+    def spy(kern, pts):
+        built.append(_gram_matrix(kern, pts))
+        return built[-1]
+
+    monkeypatch.setattr(apps, "_gram_matrix", spy)
+    return built
 
 
 @pytest.mark.parametrize("scale", [1.0, 4.0])
 def test_singular_gram_takes_the_first_nonzero_rung(scale):
-    K = _equator_cosine_gram(scale)
-    before = K.copy()
-    L, jitter = _chol_with_jitter(K)
+    K = _gram_matrix(_scaled_cosine(scale), _EQUATOR)
+    L, jitter = _chol_with_jitter(_scaled_cosine(scale), _EQUATOR)
     assert jitter == JITTER_LADDER[1] * scale  # times the mean diagonal
     assert np.array_equal(L, scipy.linalg.cholesky(K + jitter * np.eye(3), lower=True))
-    assert np.array_equal(K, before)
+    # the rung rebuilds K rather than restoring it, so a rebuild must be bit for bit the same
+    assert np.array_equal(_gram_matrix(_scaled_cosine(scale), _EQUATOR), K)
 
 
 def test_simulate_records_the_jitter_used():
-    field = simulate(kernel("cosine"), sample_points(2, 3, "equator"), 4, seed=2)
+    field = simulate(kernel("cosine"), _EQUATOR, 4, seed=2)
     assert field.jitter_used == 1e-12
 
 
 def test_each_jitter_rung_starts_from_the_unmodified_gram(monkeypatch):
-    K = _equator_cosine_gram()
+    K = _gram_matrix(kernel("cosine"), _EQUATOR)
     factored = []
     cholesky = scipy.linalg.cholesky
 
     def spy(a, **kwargs):
-        factored.append(np.array(a))  # before a rung may factor its input in place
+        factored.append(np.array(a))  # before a rung factors its input in place
         return cholesky(a, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cholesky", spy)
-    _chol_with_jitter(K)
+    _chol_with_jitter(kernel("cosine"), _EQUATOR)
     assert len(factored) == 2  # rung 0 fails, rung 1 succeeds
     assert np.array_equal(factored[0], K)
     assert np.array_equal(factored[1], K + 1e-12 * np.eye(3))
 
 
-def test_a_gram_that_fails_every_rung_raises():
-    K = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3 and -1
+def test_a_gram_that_fails_every_rung_raises(builds):
+    # two antipodal points and psi(pi) = -2: eigenvalues 3 and -1
+    antipodes = sample_points(1, 2, "equator")
     with pytest.raises(FactorizationError, match="1e-08"):
-        _chol_with_jitter(K)
+        _chol_with_jitter(lambda theta: 1.0 - 3.0 * theta / math.pi, antipodes)
+    assert len(builds) == len(JITTER_LADDER)
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+def test_the_factor_is_the_memory_of_the_gram_it_was_built_in(builds, ridge):
+    pts = sample_points(2, 40, seed=3)
+    L, jitter = _chol_with_jitter(kernel("matern"), pts, ridge)
+    assert jitter == 0.0 and len(builds) == 1  # K is built once when rung 0 succeeds
+    assert np.shares_memory(L, builds[0])
+    K = _gram_matrix(kernel("matern"), pts) + ridge * np.eye(40)
+    assert np.array_equal(L, scipy.linalg.cholesky(K, lower=True))
+
+
+def test_a_jitter_rung_factors_the_gram_it_rebuilt(builds):
+    L, jitter = _chol_with_jitter(kernel("cosine"), _EQUATOR)
+    assert jitter == 1e-12 and len(builds) == 2  # one build per rung tried
+    assert np.shares_memory(L, builds[1]) and not np.shares_memory(L, builds[0])
 
 
 # ---------------------------------------------------------------------------

@@ -406,6 +406,9 @@ _OUTSIDE = {
     "polya_s3-phi0": lambda: polya_s3(
         lambda t: 0.5 * np.exp(-t), dphi=lambda t: -0.5 * np.exp(-t)
     ),
+    # Gamma(d - 1) overflows a double from d = 173 on, and so does the Schoenberg scale
+    "membership-d-173": lambda: membership(kernel("matern", c=1, nu=0.5), 173, 50),
+    "gegenbauer_coeffs-d-173": lambda: gegenbauer_coeffs(kernel("matern", c=1, nu=0.5), 173, 50),
 }
 # Every tolerance (and the ridge) must be finite and >= 0, a Polya horizon finite and > 0.
 _TOLERANCES = {

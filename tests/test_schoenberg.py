@@ -300,6 +300,24 @@ def test_gegenbauer_scale_matches_its_closed_form(d, integer, divisor):
     assert worst < Decimal("4.5e-16")
 
 
+def test_a_scale_that_overflows_a_double_names_d():
+    assert np.all(np.isfinite(_gegenbauer_scale(2000, 172)))
+    # Gamma(d - 1) overflows from d = 173 on; at d = 172, binom(n + 170, 170) does for large n
+    for d, n_max in ((173, 50), (300, 50), (172, 20000)):
+        with pytest.raises(DomainError, match=f"d = {d} "):
+            _gegenbauer_scale(n_max, d)
+
+
+def test_a_dimension_too_large_fails_before_the_projection(monkeypatch):
+    # at d = 100, n_max = 100000 the projection would run for minutes before the scale overflowed
+    def no_rule(*args):
+        raise AssertionError("the theta rule was built")
+
+    monkeypatch.setattr(schoenberg, "_theta_rule", no_rule)
+    with pytest.raises(DomainError, match="d = 100 "):
+        gegenbauer_coeffs(_cos, 100, 100000)
+
+
 # ---------------------------------------------------------------------------
 # Gegenbauer (d >= 2) coefficients
 

@@ -12,10 +12,12 @@ from scipy.spatial.distance import cdist
 
 from spherekernels import (
     SpherePointSet,
+    gegenbauer_coeffs,
     gram_report,
     interpolate_fit,
     kernel,
     read_points,
+    reconstruct,
     sample_points,
     simulate,
     sphere,
@@ -204,21 +206,52 @@ def test_gram_evaluates_one_triangle(monkeypatch):
     assert np.array_equal(gram, evaluate(spec, pairwise_angles(pts.points, pts.points)))
 
 
-@pytest.mark.parametrize("use", ["interpolate_fit", "simulate"])
-def test_fit_and_simulate_hold_two_gram_sized_arrays(use):
-    pts = sample_points(2, 1500, seed=6)
-    spec = kernel("matern")
+@pytest.mark.parametrize("use", ["interpolate_fit", "simulate", "simulate-jitter"])
+def test_fit_and_simulate_hold_one_gram_sized_array(use):
+    if use == "simulate-jitter":  # cosine has rank 3 on S^2, so rung 0 fails
+        pts, spec = sample_points(2, 600, seed=2), kernel("cosine")
+    else:
+        pts, spec = sample_points(2, 1500, seed=6), kernel("matern")
     tracemalloc.start()
     try:
         if use == "interpolate_fit":
             interpolate_fit(spec, pts, pts.points[:, 2].copy())
         else:
-            simulate(spec, pts, 32, seed=1)
+            jitter = simulate(spec, pts, 32, seed=1).jitter_used
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the Gram and the work copy that becomes its factor; three copies reach 3x
-    assert peak < 2.5 * pts.n_points**2 * 8
+    if use == "simulate-jitter":
+        assert jitter == 1e-12 * np.mean(np.diag(_gram_matrix(spec, pts)))
+    # the Gram, factored in place, and its build temporaries; a second copy reaches 2x
+    assert peak < 1.5 * pts.n_points**2 * 8
+
+
+# Valid on S^2 with every computed b_{n,2}, n <= 400, positive (the smallest is about 2e-10)
+_POSITIVE_ON_S2 = st.one_of(
+    st.builds(lambda c: kernel("matern", c=c, nu=0.5), st.floats(0.2, 10.0)),
+    st.builds(lambda c, a: kernel("powered_exponential", c=c, alpha=a),
+              st.floats(0.2, 10.0), st.floats(0.2, 1.0)),
+    st.builds(lambda c, a, t: kernel("generalized_cauchy", c=c, alpha=a, tau=t),
+              st.floats(0.2, 3.0), st.floats(0.3, 1.0), st.floats(0.3, 3.0)),
+    st.builds(lambda a: kernel("sine_power", alpha=a), st.floats(0.05, 1.95)),
+    st.builds(lambda c: kernel("spherical", c=c), st.floats(0.2, math.pi)),
+    st.builds(lambda c: kernel("wendland_c2", c=c, tau=4.0), st.floats(0.2, math.pi)),
+)
+
+
+@settings(deadline=None, max_examples=12)
+@given(_POSITIVE_ON_S2)
+def test_gram_is_the_coefficient_series_up_to_its_tail(spec):
+    # with every b_n >= 0, |psi(theta) - sum_{n<=N} b_n R_n(cos theta)| <= 1 - sum_{n<=N} b_n,
+    # with equality at theta = 0: the Gram path and the coefficient path meet on the diagonal
+    seq = gegenbauer_coeffs(spec, 2, 400)
+    assert seq.coeffs.min() >= 0.0
+    pts = sample_points(2, 300, seed=4)
+    upper = np.triu_indices(300)
+    series = reconstruct(seq, pairwise_angles(pts.points, pts.points)[upper])
+    worst = np.max(np.abs(_gram_matrix(spec, pts)[upper] - series))
+    assert abs(worst - (1.0 - seq.coeffs.sum())) <= 1e-12
 
 
 def test_gram_detects_indefinite_kernel():
