@@ -3,9 +3,10 @@
 * Radial basis interpolation of scattered data on a sphere, with a
   fit/evaluate surface and a recorded jitter ladder for near-singular
   Gram matrices.
-* Gaussian random field simulation on a fixed point set by dense
-  Cholesky factorization of the kernel Gram matrix (single seeded
-  stream, rows drawn in order, so output is reproducible).
+* Gaussian random field simulation on a fixed point set by Cholesky
+  factorization of the kernel Gram matrix in LAPACK's rectangular full
+  packed storage, N(N+1)/2 doubles (single seeded stream, rows drawn in
+  order, so output is reproducible).
 * A log-log slope estimator for the fractal index.
 * The two localization constructions built from the compactly supported
   fifth-order profile: chordal-argument versus great-circle-argument.
@@ -17,12 +18,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from . import catalog
 from .errors import DomainError, FactorizationError, ParameterError
 from .special import _check_count, _check_tolerance
-from .sphere import SpherePointSet, _gram_matrix, _rng, _row_blocks, _unit_norms, pairwise_angles
+from .sphere import (
+    _PACKED,
+    SpherePointSet,
+    _gram_packed,
+    _packed_diagonal,
+    _packed_times_transpose,
+    _rng,
+    _row_blocks,
+    _unit_norms,
+    pairwise_angles,
+)
 
 __all__ = [
     "FieldSample",
@@ -61,31 +72,29 @@ class FieldSample:
 
 
 def _chol_with_jitter(kern, pts: SpherePointSet, ridge: float = 0.0) -> tuple[np.ndarray, float]:
-    """Build K + ridge I on pts and factor it in its own memory, escalating jitter on failure.
+    """Build K + ridge I on pts in packed storage and factor it there, escalating jitter on failure.
 
-    Each rung builds K, adds the ridge and the rung's jitter (a multiple of
-    the mean diagonal of K + ridge I) to K's diagonal and factors K.T in
-    place: the transpose of the C-order, exactly symmetric K is
-    Fortran-contiguous and equals K, so LAPACK takes it without a copy and
-    the factor returned is K's own memory.  A fit or a simulation thus holds
-    one N x N array.  A failed rung leaves nothing to restore from (scipy
-    zeroes the upper triangle whether or not potrf succeeds), so it drops
-    its array and the next rung builds K again, bit for bit the same; only
-    the jitter path pays for the extra builds.
+    Each rung builds the lower triangle of K in rectangular full packed
+    storage (``sphere._gram_packed``, N(N+1)/2 doubles), adds the ridge and
+    the rung's jitter (a multiple of the mean diagonal of K + ridge I) to its
+    diagonal and factors it in place with LAPACK's ``dpftrf``, so the packed
+    factor returned is the build's own memory.  A failed rung leaves a partly
+    overwritten array, so it drops it and the next rung builds K again, bit
+    for bit the same; only the jitter path pays for the extra builds.
     """
-    step = pts.n_points + 1
+    n = pts.n_points
+    diagonal = _packed_diagonal(n)
     base = None
     for level in JITTER_LADDER:
-        K = _gram_matrix(kern, pts)
-        K.flat[::step] += ridge
+        F = _gram_packed(kern, pts)
+        F[diagonal] += ridge
         if base is None:
-            base = float(np.mean(np.diag(K)))
-        K.flat[::step] += level * base
-        try:
-            return scipy.linalg.cholesky(K.T, lower=True, overwrite_a=True), level * base
-        except scipy.linalg.LinAlgError:
-            pass
-        del K  # before the next build, so that a jitter run never holds two arrays
+            base = float(np.mean(F[diagonal]))
+        F[diagonal] += level * base
+        F, info = scipy.linalg.lapack.dpftrf(n, F, overwrite_a=1, **_PACKED)
+        if info == 0:
+            return F, level * base
+        del F  # before the next build, so that a jitter run never holds two arrays
     raise FactorizationError(
         f"Gram matrix not positive definite even with jitter {JITTER_LADDER[-1]:g} * diag"
     )
@@ -98,7 +107,7 @@ def interpolate_fit(
 
     The kernel must be valid and strictly positive definite for the node
     dimension; otherwise the verdict's rule is quoted in the error.  K + ridge I
-    is factored in the one N x N array it is built in.  A failing
+    is factored in the one packed array of N(N+1)/2 doubles it is built in.  A failing
     factorization rebuilds K and retries with jitter 1e-12/1e-10/1e-8 times
     the mean diagonal; the jitter actually used is recorded on the result.
     """
@@ -114,9 +123,9 @@ def interpolate_fit(
     if not np.all(np.isfinite(y)):
         raise DomainError("data must be finite")
     ridge = _check_tolerance("ridge", ridge)
-    L, jitter = _chol_with_jitter(spec, nodes, ridge)
-    # L factors a K that cholesky checked for finiteness, so it is finite too
-    w = scipy.linalg.cho_solve((L, True), y, check_finite=False)
+    F, jitter = _chol_with_jitter(spec, nodes, ridge)
+    w, _ = scipy.linalg.lapack.dpftrs(nodes.n_points, F, y[:, None], **_PACKED)
+    w = w[:, 0]
     return Interpolant(spec=spec, nodes=nodes, weights=w, ridge=ridge, jitter_used=jitter)
 
 
@@ -149,8 +158,9 @@ def simulate(
     """Draw centered Gaussian samples with covariance K on a point set.
 
     Uses one seeded generator; draw i occupies row i regardless of how
-    many samples are requested afterwards.  K is factored in the one N x N
-    array it is built in, with the jitter ladder of ``interpolate_fit``.
+    many samples are requested afterwards.  K is factored in the one packed
+    array of N(N+1)/2 doubles it is built in, with the jitter ladder of
+    ``interpolate_fit``.
     """
     verdict = catalog.validate_params(spec, pts.d)
     if not verdict.valid:
@@ -159,9 +169,10 @@ def simulate(
         )
     n_samples = _check_count("n_samples", n_samples, 1)
     rng = _rng(seed)
-    L, jitter = _chol_with_jitter(spec, pts)
+    F, jitter = _chol_with_jitter(spec, pts)
     z = rng.standard_normal((n_samples, pts.n_points))
-    return FieldSample(points=pts, values=z @ L.T, spec=spec, seed=seed, jitter_used=jitter)
+    values = _packed_times_transpose(z, F)
+    return FieldSample(points=pts, values=values, spec=spec, seed=seed, jitter_used=jitter)
 
 
 def estimate_fractal_index(

@@ -8,8 +8,12 @@ positive definiteness, never a certificate.
 Kernel matrices are evaluated in row blocks of about ``_BLOCK_ENTRIES``
 entries (``_row_blocks``), so the temporaries of a kernel evaluation stay a
 few MB however many points there are.  A Gram matrix is symmetric, so psi is
-evaluated on its lower triangle, about once per pair of points, and the
-values are mirrored into the upper triangle.
+evaluated on its lower triangle, about once per pair of points.  The same
+psi blocks fill either the full matrix, mirrored into the upper triangle,
+for the eigensolver of ``gram_report``, or the lower triangle alone in
+LAPACK's rectangular full packed storage, N(N+1)/2 doubles, for the
+Cholesky factorizations of ``apps``; this module is the only one that
+knows where the packed layout puts an entry.
 """
 
 from __future__ import annotations
@@ -157,35 +161,130 @@ def _rng(seed) -> np.random.Generator:
 def _row_blocks(n_rows: int, n_cols: int) -> Iterator[slice]:
     """Consecutive row slices of an n_rows x n_cols matrix, each of at most
     ``_BLOCK_ENTRIES`` entries, or one row when a row is wider than that."""
-    step = max(1, _BLOCK_ENTRIES // n_cols)
+    step = max(1, _BLOCK_ENTRIES // max(1, n_cols))
     for start in range(0, n_rows, step):
         yield slice(start, start + step)
 
 
-def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
-    """K_ij = psi(theta_ij), about one psi value per pair of points.
+def _gram_blocks(kern, pts: SpherePointSet) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The one psi loop of both Gram layouts: ``(a, b, psi(theta))`` per row block.
 
-    Each row block is evaluated up to its last diagonal entry, and the part
-    left of the block's diagonal square is mirrored into the columns above
-    it, so psi sees about N^2 / 2 angles.  For a psi that acts entry by
-    entry the result equals psi(pairwise_angles(x, x)) bit for bit and is
-    exactly symmetric, because the distances are; only the N x N result is
-    held at full size.
+    The block holds rows [a, b) of K in columns [0, b), so it covers its rows'
+    part of the lower triangle plus the upper half of its diagonal square.
+    A non-finite psi value raises DomainError naming its angle, before any
+    eigensolver or factorization sees it.
     """
     psi, _ = catalog.as_psi(kern)
     x = pts.points
+    n = pts.n_points
+    for rows in _row_blocks(n, n):
+        theta = pairwise_angles(x[rows], x[: rows.stop])
+        vals = psi(theta)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            raise DomainError(f"psi is not finite at theta = {theta[bad][0]!r}: {vals[bad][0]!r}")
+        yield rows.start, min(rows.stop, n), vals
+
+
+def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
+    """K_ij = psi(theta_ij) in full storage, about one psi value per pair of points.
+
+    The part of each row block left of its diagonal square is mirrored into
+    the columns above it, so psi sees about N^2 / 2 angles.  For a psi that
+    acts entry by entry the result equals psi(pairwise_angles(x, x)) bit for
+    bit and is exactly symmetric, because the distances are; only the N x N
+    result is held at full size.
+    """
     K = np.empty((pts.n_points, pts.n_points))
-    for rows in _row_blocks(*K.shape):
-        K[rows, : rows.stop] = psi(pairwise_angles(x[rows], x[: rows.stop]))
-        K[: rows.start, rows] = K[rows, : rows.start].T
+    for a, b, vals in _gram_blocks(kern, pts):
+        K[a:b, :b] = vals
+        K[:a, a:b] = vals[:, :a].T
     return K
+
+
+# LAPACK's rectangular full packed (RFP) storage of a lower triangle, not
+# transposed (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010).
+# With q = ceil(n/2) and s = 1 for even n, else 0, it is a C-order (q, n + s)
+# array F holding row r < q of the upper triangle, K[r, r:], at F[r, r+s:], and
+# row i >= q of the lower triangle from column q on, K[i, q:i+1], at
+# F[i-q+1-s, :i-q+1]: n(n+1)/2 doubles, every one of them used.
+_PACKED = {"transr": "N", "uplo": "L"}
+
+
+def _packed_shape(n: int) -> tuple[int, int]:
+    """(q, s) of the packed layout of an n x n triangle."""
+    return (n + 1) // 2, 1 - n % 2
+
+
+def _gram_packed(kern, pts: SpherePointSet) -> np.ndarray:
+    """The lower triangle of K_ij = psi(theta_ij) in RFP storage, as one flat array.
+
+    Built from the same psi blocks as ``_gram_matrix``, so it equals LAPACK's
+    ``dtrttf`` of that full matrix bit for bit; it holds N(N+1)/2 doubles.
+    """
+    n = pts.n_points
+    q, s = _packed_shape(n)
+    F = np.empty((q, n + s))
+    for a, b, vals in _gram_blocks(kern, pts):
+        # columns j < q: K[i, j] sits at F[j, i + s].  Where the block's diagonal
+        # square has j > i, this writes into F[j, :j + s], which holds row
+        # j + q - 1 + s >= a from column q on, and the second write below
+        # overwrites it in this block or a later one.
+        e = min(b, q)
+        F[:e, a + s : b + s] = vals[:, :e].T
+        # columns j >= q of rows i >= q: K[i, j] sits at F[i - q + 1 - s, j - q]
+        c = max(a, q)
+        if c < b:
+            rows = slice(c - q + 1 - s, b - q + 1 - s)
+            F[rows, : c - q] = vals[c - a :, q:c]
+            np.copyto(F[rows, c - q : b - q], vals[c - a :, c:b], where=np.tri(b - c, dtype=bool))
+    return F.reshape(-1)
+
+
+def _packed_diagonal(n: int) -> np.ndarray:
+    """Flat indices of K_00, ..., K_(n-1)(n-1) in the packed layout, in that order."""
+    q, s = _packed_shape(n)
+    step = n + s + 1
+    return np.concatenate([s + step * np.arange(q), (1 - s) * (n + s) + step * np.arange(n - q)])
+
+
+def _packed_times_transpose(z: np.ndarray, packed: np.ndarray) -> np.ndarray:
+    """z @ L.T for the lower triangular L held in RFP storage, by GEMMs on views of it.
+
+    With L = [[L11, 0], [L21, L22]] split at q, L11 is the transposed upper
+    triangle of F[:, s:q+s], L21.T the rectangle F[:, q+s:] and L22 the lower
+    triangle of F[1-s:, :n-q].
+    """
+    n = z.shape[1]
+    q, s = _packed_shape(n)
+    F = packed.reshape(q, n + s)
+    out = np.empty_like(z)
+    out[:, :q] = _times_lower_transpose(z[:, :q], F[:, s : q + s].T)
+    out[:, q:] = z[:, :q] @ F[:, q + s :]
+    out[:, q:] += _times_lower_transpose(z[:, q:], F[1 - s :, : n - q])
+    return out
+
+
+def _times_lower_transpose(z: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """z @ tril(T).T, reading nothing above the diagonal of the square T.
+
+    Row block [a, b) of tril(T) is the rectangle T[a:b, :a] and the lower
+    triangle of its diagonal square, the only part copied.
+    """
+    out = np.empty((len(z), len(T)))
+    for rows in _row_blocks(len(T), len(T)):
+        a, b = rows.start, min(rows.stop, len(T))
+        out[:, a:b] = z[:, :a] @ T[a:b, :a].T + z[:, a:b] @ np.tril(T[a:b, a:b]).T
+    return out
 
 
 def gram_report(kern, pts: SpherePointSet, tol: float = 1e-8) -> GramReport:
     """Assemble K_ij = psi(theta_ij) and judge positive semidefiniteness.
 
     The verdict is min_eigenvalue >= -tol * n_points, which absorbs the
-    growth of symmetric-eigensolver backward error with matrix size.
+    growth of symmetric-eigensolver backward error with matrix size.  K is
+    held in full storage, which ``numpy.linalg.eigvalsh`` takes; a psi
+    value that is not finite raises DomainError.
     """
     tol = _check_tolerance("tol", tol)
     eigvals = np.linalg.eigvalsh(_gram_matrix(kern, pts))

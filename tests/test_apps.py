@@ -12,6 +12,7 @@ from spherekernels import (
     apps,
     estimate_fractal_index,
     fractal_index_theoretical,
+    gram_report,
     interpolate_eval,
     interpolate_fit,
     kernel,
@@ -23,7 +24,7 @@ from spherekernels import (
 from spherekernels.catalog import evaluate
 from spherekernels.apps import JITTER_LADDER, _chol_with_jitter
 from spherekernels.errors import DomainError, FactorizationError, ParameterError
-from spherekernels.sphere import _gram_matrix, pairwise_angles
+from spherekernels.sphere import _gram_matrix, _gram_packed, pairwise_angles
 
 
 def _height_data(pts):
@@ -169,55 +170,81 @@ def test_simulation_rejects_invalid_kernel():
 
 
 _EQUATOR = sample_points(2, 3, "equator")
+_RANK_3 = sample_points(2, 600, seed=2)  # cosine is x . y, a rank-3 Gram on any S^2 points
 
 
-def _scaled_cosine(scale):
-    # rank 2 on the equator points: the rows of three equally spaced points sum to zero
-    return lambda theta: scale * np.cos(theta)
+def _shifted_cosine(scale):
+    # the rows of three equally spaced equator points sum to -3e-14 scale: the ones
+    # vector gives a Gram eigenvalue near -3e-14 scale, far beyond rounding
+    return lambda theta: scale * (np.cos(theta) - 1e-14)
+
+
+def _unpack(packed, n):
+    """The lower triangular matrix a packed factor holds."""
+    full, info = scipy.linalg.lapack.dtfttr(n, packed, transr="N", uplo="L")
+    assert info == 0
+    return np.tril(full)
+
+
+def _pack(K):
+    packed, info = scipy.linalg.lapack.dtrttf(K, transr="N", uplo="L")
+    assert info == 0
+    return packed
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Every Gram matrix the jitter ladder builds, in order."""
+    """Every packed Gram matrix the jitter ladder builds, in order."""
     built = []
 
     def spy(kern, pts):
-        built.append(_gram_matrix(kern, pts))
+        built.append(_gram_packed(kern, pts))
         return built[-1]
 
-    monkeypatch.setattr(apps, "_gram_matrix", spy)
+    monkeypatch.setattr(apps, "_gram_packed", spy)
     return built
 
 
 @pytest.mark.parametrize("scale", [1.0, 4.0])
 def test_singular_gram_takes_the_first_nonzero_rung(scale):
-    K = _gram_matrix(_scaled_cosine(scale), _EQUATOR)
-    L, jitter = _chol_with_jitter(_scaled_cosine(scale), _EQUATOR)
-    assert jitter == JITTER_LADDER[1] * scale  # times the mean diagonal
-    assert np.array_equal(L, scipy.linalg.cholesky(K + jitter * np.eye(3), lower=True))
+    K = _gram_matrix(_shifted_cosine(scale), _EQUATOR)
+    F, jitter = _chol_with_jitter(_shifted_cosine(scale), _EQUATOR)
+    assert jitter == JITTER_LADDER[1] * np.mean(np.diag(K))
+    want, info = scipy.linalg.lapack.dpftrf(3, _pack(K + jitter * np.eye(3)), transr="N", uplo="L")
+    assert info == 0 and np.array_equal(F, want)
     # the rung rebuilds K rather than restoring it, so a rebuild must be bit for bit the same
-    assert np.array_equal(_gram_matrix(_scaled_cosine(scale), _EQUATOR), K)
+    assert np.array_equal(_gram_packed(_shifted_cosine(scale), _EQUATOR), _pack(K))
+
+
+def test_a_gram_singular_up_to_rounding_is_factored_on_some_rung():
+    # cosine on three equator points is singular only up to rounding, so which rung
+    # succeeds is a property of the LAPACK routine, not of K; the factor is exact either way
+    K = _gram_matrix(kernel("cosine"), _EQUATOR)
+    F, jitter = _chol_with_jitter(kernel("cosine"), _EQUATOR)
+    assert jitter in [level * np.mean(np.diag(K)) for level in JITTER_LADDER]
+    L = _unpack(F, 3)
+    assert np.max(np.abs(L @ L.T - (K + jitter * np.eye(3)))) <= 1e-15
 
 
 def test_simulate_records_the_jitter_used():
-    field = simulate(kernel("cosine"), _EQUATOR, 4, seed=2)
+    field = simulate(kernel("cosine"), _RANK_3, 4, seed=2)
     assert field.jitter_used == 1e-12
 
 
 def test_each_jitter_rung_starts_from_the_unmodified_gram(monkeypatch):
-    K = _gram_matrix(kernel("cosine"), _EQUATOR)
+    K = _gram_matrix(_shifted_cosine(1.0), _EQUATOR)
     factored = []
-    cholesky = scipy.linalg.cholesky
+    dpftrf = scipy.linalg.lapack.dpftrf
 
-    def spy(a, **kwargs):
+    def spy(n, a, **kwargs):
         factored.append(np.array(a))  # before a rung factors its input in place
-        return cholesky(a, **kwargs)
+        return dpftrf(n, a, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "cholesky", spy)
-    _chol_with_jitter(kernel("cosine"), _EQUATOR)
+    monkeypatch.setattr(scipy.linalg.lapack, "dpftrf", spy)
+    _, jitter = _chol_with_jitter(_shifted_cosine(1.0), _EQUATOR)
     assert len(factored) == 2  # rung 0 fails, rung 1 succeeds
-    assert np.array_equal(factored[0], K)
-    assert np.array_equal(factored[1], K + 1e-12 * np.eye(3))
+    assert np.array_equal(factored[0], _pack(K))
+    assert np.array_equal(factored[1], _pack(K + jitter * np.eye(3)))
 
 
 def test_a_gram_that_fails_every_rung_raises(builds):
@@ -231,17 +258,49 @@ def test_a_gram_that_fails_every_rung_raises(builds):
 @pytest.mark.parametrize("ridge", [0.0, 1e-6])
 def test_the_factor_is_the_memory_of_the_gram_it_was_built_in(builds, ridge):
     pts = sample_points(2, 40, seed=3)
-    L, jitter = _chol_with_jitter(kernel("matern"), pts, ridge)
+    F, jitter = _chol_with_jitter(kernel("matern"), pts, ridge)
     assert jitter == 0.0 and len(builds) == 1  # K is built once when rung 0 succeeds
-    assert np.shares_memory(L, builds[0])
+    assert np.shares_memory(F, builds[0]) and F.size == 40 * 41 // 2
     K = _gram_matrix(kernel("matern"), pts) + ridge * np.eye(40)
-    assert np.array_equal(L, scipy.linalg.cholesky(K, lower=True))
+    want, info = scipy.linalg.lapack.dpftrf(40, _pack(K), transr="N", uplo="L")
+    assert info == 0 and np.array_equal(F, want)
 
 
 def test_a_jitter_rung_factors_the_gram_it_rebuilt(builds):
-    L, jitter = _chol_with_jitter(kernel("cosine"), _EQUATOR)
-    assert jitter == 1e-12 and len(builds) == 2  # one build per rung tried
-    assert np.shares_memory(L, builds[1]) and not np.shares_memory(L, builds[0])
+    F, jitter = _chol_with_jitter(_shifted_cosine(1.0), _EQUATOR)
+    assert jitter > 0.0 and len(builds) == 2  # one build per rung tried
+    assert np.shares_memory(F, builds[1]) and not np.shares_memory(F, builds[0])
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 40, 301])
+def test_packed_solve_and_draws_are_the_dense_ones(n):
+    pts = sample_points(2, n, seed=n)
+    spec = kernel("matern", c=0.8)
+    K = _gram_matrix(spec, pts)
+    L = scipy.linalg.cholesky(K, lower=True)
+    data = np.sin(3 * pts.points[:, 0])
+    w = interpolate_fit(spec, pts, data).weights
+    want = scipy.linalg.cho_solve((L, True), data)
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+    field = simulate(spec, pts, 5, seed=n)
+    z = np.random.default_rng(n).standard_normal((5, n))
+    assert np.max(np.abs(field.values - z @ L.T)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_psi_is_a_domain_error(monkeypatch, bad):
+    def psi(theta):  # finite up to 1 radian, so the first row blocks are finite
+        return np.where(theta > 1.0, bad, np.cos(theta))
+
+    pts = sample_points(2, 5, seed=0)
+    with pytest.raises(DomainError, match="psi is not finite at theta = "):
+        gram_report(psi, pts)
+    with pytest.raises(DomainError, match="psi is not finite at theta = "):
+        _chol_with_jitter(psi, pts)
+    # simulate takes catalog kernels only: let the catalog's evaluation be the bad psi
+    monkeypatch.setattr(apps.catalog, "evaluate", lambda spec, theta: psi(theta))
+    with pytest.raises(DomainError, match="psi is not finite at theta = "):
+        simulate(kernel("matern"), pts, 2, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -277,14 +277,14 @@ def test_simulate_deterministic_output(capsys):
 
 
 def test_simulate_notes_the_jitter_on_stderr_only(capsys):
-    # cosine on three equator points has a singular Gram matrix: the factorization
-    # takes the first jitter step, and stdout stays the CSV draws alone
-    code, out, err = _run(capsys, "simulate", "--kernel", "cosine", "--scheme", "equator",
-                          "--n-points", "3", "--samples", "4", "--seed", "2")
+    # cosine is x . y, so its Gram matrix on 600 points of S^2 has rank 3: the
+    # factorization takes the first jitter step, and stdout stays the CSV draws alone
+    code, out, err = _run(capsys, "simulate", "--kernel", "cosine", "--n-points", "600",
+                          "--samples", "4", "--seed", "2")
     assert code == 0
     assert err == "jitter used: 1e-12\n"
     lines = out.splitlines()
-    assert lines[0] == "draw,v0,v1,v2" and len(lines) == 5
+    assert lines[0] == ",".join(["draw"] + [f"v{j}" for j in range(600)]) and len(lines) == 5
     assert [int(r["draw"]) for r in _rows(out)] == [0, 1, 2, 3]
 
 

@@ -8,6 +8,7 @@ import pytest
 from conftest import DEFAULT_SPECS, STRICT_DEFAULT_SPECS
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dtrttf
 from scipy.spatial.distance import cdist
 
 from spherekernels import (
@@ -25,7 +26,7 @@ from spherekernels import (
 )
 from spherekernels.catalog import evaluate
 from spherekernels.errors import DomainError
-from spherekernels.sphere import _gram_matrix, pairwise_angles
+from spherekernels.sphere import _gram_matrix, _gram_packed, _packed_diagonal, pairwise_angles
 
 
 def _angle(x, y):
@@ -207,7 +208,7 @@ def test_gram_evaluates_one_triangle(monkeypatch):
 
 
 @pytest.mark.parametrize("use", ["interpolate_fit", "simulate", "simulate-jitter"])
-def test_fit_and_simulate_hold_one_gram_sized_array(use):
+def test_fit_and_simulate_hold_half_a_gram(use):
     if use == "simulate-jitter":  # cosine has rank 3 on S^2, so rung 0 fails
         pts, spec = sample_points(2, 600, seed=2), kernel("cosine")
     else:
@@ -221,10 +222,34 @@ def test_fit_and_simulate_hold_one_gram_sized_array(use):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    gram = pts.n_points**2 * 8
     if use == "simulate-jitter":
         assert jitter == 1e-12 * np.mean(np.diag(_gram_matrix(spec, pts)))
-    # the Gram, factored in place, and its build temporaries; a second copy reaches 2x
-    assert peak < 1.5 * pts.n_points**2 * 8
+        # at N = 600 the psi block temporaries are a third of the packed Gram
+        assert peak < 1.1 * gram
+    else:
+        # the packed Gram (N(N+1)/2 doubles), factored in place, and its build
+        # temporaries; a full N x N array alone reaches 1x
+        assert peak < 0.85 * gram
+
+
+_PACKED_BLOCKINGS = st.sampled_from([None, 1, 5, 64])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 80), _PACKED_BLOCKINGS, st.integers(0, 2**16))
+def test_packed_gram_is_the_lower_triangle_of_the_full_one(n, entries, seed):
+    # n of both parities; block sizes down to one row per block and a square of one entry
+    with pytest.MonkeyPatch.context() as m:
+        if entries is not None:
+            m.setattr(sphere, "_BLOCK_ENTRIES", entries)
+        pts = sample_points(2, n, seed=seed)
+        packed = _gram_packed(kernel("matern"), pts)
+        full = _gram_matrix(kernel("matern"), pts)
+    want, info = dtrttf(full, transr="N", uplo="L")
+    assert info == 0 and packed.shape == (n * (n + 1) // 2,)
+    assert np.array_equal(packed, want)
+    assert np.array_equal(packed[_packed_diagonal(n)], np.diag(full))
 
 
 # Valid on S^2 with every computed b_{n,2}, n <= 400, positive (the smallest is about 2e-10)
