@@ -72,7 +72,7 @@ class FieldSample:
 
 
 def _chol_with_jitter(kern, pts: SpherePointSet, ridge: float = 0.0) -> tuple[np.ndarray, float]:
-    """Build K + ridge I on pts in packed storage and factor it there, escalating jitter on failure.
+    """Build and factor K + ridge I on pts in packed storage, escalating jitter on failure.
 
     Each rung builds the lower triangle of K in rectangular full packed
     storage (``sphere._gram_packed``, N(N+1)/2 doubles), adds the ridge and

@@ -233,11 +233,8 @@ def test_fit_and_simulate_hold_half_a_gram(use):
         assert peak < 0.85 * gram
 
 
-_PACKED_BLOCKINGS = st.sampled_from([None, 1, 5, 64])
-
-
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 80), _PACKED_BLOCKINGS, st.integers(0, 2**16))
+@given(st.integers(1, 80), st.sampled_from([None, 1, 5, 64]), st.integers(0, 2**16))
 def test_packed_gram_is_the_lower_triangle_of_the_full_one(n, entries, seed):
     # n of both parities; block sizes down to one row per block and a square of one entry
     with pytest.MonkeyPatch.context() as m:
