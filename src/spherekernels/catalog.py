@@ -705,6 +705,19 @@ def as_psi(kern) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]
     raise DomainError(f"kernel must be a KernelSpec or a callable, got {type(kern)!r}")
 
 
+def _finite_psi(psi, theta: np.ndarray) -> np.ndarray:
+    """psi(theta), or a DomainError naming the first angle where it is not finite.
+
+    The gate of both psi sums: a Gram matrix and a coefficient projection fail
+    here rather than hand NaN or inf to an eigensolver, a factorization or a verdict.
+    """
+    vals = psi(theta)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise DomainError(f"psi is not finite at theta = {theta[bad][0]!r}: {vals[bad][0]!r}")
+    return vals
+
+
 def list_families() -> list[dict]:
     """One row per family: name, expression, parameter rule, class info."""
     rows = []

@@ -14,6 +14,11 @@ for the eigensolver of ``gram_report``, or the lower triangle alone in
 LAPACK's rectangular full packed storage, N(N+1)/2 doubles, for the
 Cholesky factorizations of ``apps``; this module is the only one that
 knows where the packed layout puts an entry.
+
+``scipy.spatial`` (``cKDTree`` for the duplicate check, ``cdist`` for the
+distances) is imported by the first point set or distance, not with the
+package: it adds about 5.5 MB of peak resident memory and 45-80 ms, which
+the coefficient verdicts, walks and Polya checks never need.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from . import catalog
 from .errors import DomainError
@@ -63,6 +66,8 @@ class SpherePointSet:
         pts = pts / _unit_norms(pts)[:, None]
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
+        from scipy.spatial import cKDTree  # here: coefficient-only work never loads it
+
         if cKDTree(pts).query_pairs(r=_DUPLICATE_CHORD):
             raise DomainError("points must be pairwise distinct")
 
@@ -112,6 +117,8 @@ def pairwise_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     negative, so capping it at 1 is the whole clip, and scaling by a power
     of two is exact.
     """
+    from scipy.spatial.distance import cdist  # here: coefficient-only work never loads it
+
     h = cdist(a, b)
     h *= 0.5
     np.minimum(h, 1.0, out=h)
@@ -179,11 +186,7 @@ def _gram_blocks(kern, pts: SpherePointSet) -> Iterator[tuple[int, int, np.ndarr
     n = pts.n_points
     for rows in _row_blocks(n, n):
         theta = pairwise_angles(x[rows], x[: rows.stop])
-        vals = psi(theta)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            raise DomainError(f"psi is not finite at theta = {theta[bad][0]!r}: {vals[bad][0]!r}")
-        yield rows.start, min(rows.stop, n), vals
+        yield rows.start, min(rows.stop, n), catalog._finite_psi(psi, theta)
 
 
 def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:

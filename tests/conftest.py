@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import eval_gegenbauer, gammaln, gammasgn
+from scipy.special import binom, eval_gegenbauer, gammaln, gammasgn
 
 from spherekernels import kernel
 
@@ -151,6 +151,22 @@ def circle_sine_power_coeffs(alpha, n_max):
     b *= gammasgn(n - h) * np.exp(log_ratio)
     b[0] += 1.0
     return b
+
+
+def multiquadric_coeffs(delta, d, n_max):
+    """Exact b_{n,d}, n = 0..n_max, of the multiquadric at tau = (d-1)/2 on S^d, d >= 2.
+
+    With lam = tau the Gegenbauer generating function
+    (1 - 2 delta x + delta^2)^{-lam} = sum_n delta^n C_n^lam(x) gives
+    b_{n,d} = (1-delta)^{d-1} delta^n C_n^lam(1), and C_n^lam(1) = binom(n+d-2, n).
+    """
+    n = np.arange(n_max + 1)
+    return (1.0 - delta) ** (d - 1) * delta**n * binom(n + d - 2, n)
+
+
+def cosine_coeffs(n_max):
+    """Exact b_{n,d}, n = 0..n_max, of cos(theta) on every S^d: delta_{n1}, since R_1(x) = x."""
+    return np.eye(1, n_max + 1, 1)[0]
 
 
 def legendre_from_fourier(b, n_out, k_tail):

@@ -390,6 +390,11 @@ def test_process_exit_codes():
     done = run("member", "--kernel", "matern", "--tol", "-1")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
+    # c = 0 divides by zero: psi is NaN on the theta rule, an error rather than NaN output
+    # (numpy's RuntimeWarnings come first on stderr)
+    done = run("member", "--kernel", "matern:c=0", "--dim", "2")
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr.splitlines()[-1].startswith("error: psi is not finite at theta = ")
 
 
 def test_json_mirrors_csv_fields(capsys):

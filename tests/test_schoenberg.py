@@ -12,7 +12,9 @@ from conftest import (
     IN_RANGE_POINTS,
     circle_exponential_coeffs,
     circle_sine_power_coeffs,
+    cosine_coeffs,
     legendre_from_fourier,
+    multiquadric_coeffs,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -201,6 +203,28 @@ def test_gegenbauer_matches_the_walked_circle_closed_forms(spec, exact, param, t
         assert np.max(np.abs(got - walked.coeffs[: n_max + 1])) < tol, d
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("delta", [0.2, 0.5, 0.8])
+def test_gegenbauer_matches_the_multiquadric_generating_function(d, delta):
+    # tau = (d-1)/2; measured at most 6.7e-16 g_{n,d} for n <= 60
+    spec = kernel("multiquadric", tau=(d - 1) / 2.0, delta=delta)
+    exact = multiquadric_coeffs(delta, d, 60)
+    for n_max in (60, 2000):
+        got = gegenbauer_coeffs(spec, d, n_max).coeffs[:61]
+        assert np.all(np.abs(got - exact) <= 1e-15 * _gegenbauer_scale(60, d)), n_max
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+def test_cosine_coefficients_are_exact_up_to_the_rounding_model(d):
+    # the projection's rounding noise grows like (n+1) g_{n,d} eps: measured at
+    # most 4.4e-16 (n+1) g_{n,d} here, which is 1.4e-6 absolute on S^7
+    n_max = 2000
+    spec = kernel("cosine")
+    got = fourier_coeffs(spec, n_max) if d == 1 else gegenbauer_coeffs(spec, d, n_max)
+    floor = 1e-15 * np.arange(1, n_max + 2) * _gegenbauer_scale(n_max, d)
+    assert np.all(np.abs(got.coeffs - cosine_coeffs(n_max)) <= floor)
+
+
 def test_projection_does_not_store_the_basis():
     spec = kernel("matern", c=0.3, nu=0.5)
     tracemalloc.start()
@@ -251,15 +275,17 @@ def test_projection_trims_a_compactly_supported_callable():
     assert np.all(np.abs(seq.coeffs - expected) <= 1e-15 * _gegenbauer_scale(200, 3))
 
 
-def test_projection_keeps_nan_from_psi():
-    def psi(t):
-        out = np.exp(-t)
-        out[t > 3.0] = np.nan
-        return out
+def test_projection_rejects_a_non_finite_psi():
+    # as in a Gram matrix: an error naming the angle, never NaN coefficients
+    for bad in (math.nan, math.inf, -math.inf):
+        def psi(t):
+            out = np.exp(-t)
+            out[t > 3.0] = bad
+            return out
 
-    for d in (1, 3):
-        seq = fourier_coeffs(psi, 50) if d == 1 else gegenbauer_coeffs(psi, d, 50)
-        assert np.all(np.isnan(seq.coeffs))
+        for d in (1, 3):
+            with pytest.raises(DomainError, match=r"psi is not finite at theta = .*3\."):
+                fourier_coeffs(psi, 50) if d == 1 else gegenbauer_coeffs(psi, d, 50)
 
 
 def test_projection_calls_psi_on_read_only_nodes():
