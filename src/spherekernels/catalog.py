@@ -7,11 +7,11 @@ as their profile phi(t), t >= 0, which enables the chordal substitution
 t = 2 sin(theta / 2) (``yadrenko``) and the derivative-based convexity
 criteria.
 
-Parameter ranges recorded here are the ones that guarantee (strict)
-positive definiteness; out-of-range specs still evaluate, so that the
-coefficient machinery can expose them as invalid.  Each family's
-expression, parameter rule and defaults are listed by ``list_families()``
-and by ``spherekernels list``.
+Specs outside the parameter domains (``_DOMAINS``) are refused; specs
+outside the validity ranges, which guarantee (strict) positive
+definiteness, still evaluate, so that the coefficient machinery can
+expose them as invalid.  Each family's expression, parameter rule and
+defaults are listed by ``list_families()`` and by ``spherekernels list``.
 """
 
 from __future__ import annotations
@@ -44,13 +44,20 @@ __all__ = [
 
 _MATERN_T_FLOOR = 1e-14  # below this, psi is 1 to double precision
 
+# Each parameter's domain, the same in every family (c a scale; alpha, nu and
+# tau shapes; delta a ratio).  NaN fails.  A subnormal shape would overflow
+# Gamma(nu) in matern, or round dagum's alpha/tau to 0 and make psi(0) = 0.
+_POSITIVE = ("(0, inf), not subnormal", lambda v: np.finfo(float).tiny <= v < math.inf)
+_DOMAINS = {"c": _POSITIVE, "alpha": _POSITIVE, "nu": _POSITIVE, "tau": _POSITIVE}
+_DOMAINS["delta"] = ("[0, 1)", lambda v: 0 <= v < 1)
+
 
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family name plus its named parameters.
 
     Construction checks that the family exists, that exactly the family's
-    parameters are present and that all values are finite.  It does NOT
+    parameters are present and that each lies in its domain.  It does NOT
     check validity ranges; see ``validate_params``.
     """
 
@@ -64,8 +71,9 @@ class KernelSpec:
             if k not in fam.defaults:
                 raise ParameterError(f"{name} takes parameters {tuple(fam.defaults)}, got {k!r}")
             v = float(value)
-            if not math.isfinite(v):
-                raise ParameterError(f"{name}: parameter {k}={value!r} is not finite")
+            domain, inside = _DOMAINS[k]
+            if not inside(v):
+                raise ParameterError(f"{name}: parameter {k}={value!r} must lie in {domain}")
             clean[k] = v
         missing = [p for p in fam.defaults if p not in clean]
         if missing:
@@ -136,8 +144,8 @@ def _psi_dagum(p, th):
 
 
 def _psi_multiquadric(p, th):
-    d, tau = p["delta"], p["tau"]
-    return (1.0 - d) ** (2.0 * tau) / (1.0 + d * d - 2.0 * d * np.cos(th)) ** tau
+    q = (1.0 - p["delta"]) ** 2  # 1 + d^2 - 2d cos(th) = q + 4d sin^2(th/2), exact at th = 0
+    return (q / (q + 4.0 * p["delta"] * np.sin(th / 2.0) ** 2)) ** p["tau"]
 
 
 def _psi_sine_power(p, th):
@@ -270,46 +278,38 @@ def _dnphi_askey(p, t, order):
 # --- validity classification -------------------------------------------------
 
 def _classify_powered_exponential(p):
-    if p["c"] <= 0:
-        return 0.0, False, f"scale c must be positive, got c={p['c']:g}"
-    if 0 < p["alpha"] <= 1:
+    if p["alpha"] <= 1:
         return math.inf, True, "alpha in (0,1] gives a completely monotone profile"
     return 0.0, False, f"alpha={p['alpha']:g} outside (0,1]: not positive definite on any sphere"
 
 
 def _classify_matern(p):
-    if p["c"] <= 0 or p["nu"] <= 0:
-        return 0.0, False, "requires c > 0 and nu > 0"
     if p["nu"] <= 0.5:
         return math.inf, True, "nu in (0,1/2] gives a completely monotone profile"
     return 0.0, False, f"nu={p['nu']:g} > 1/2: not positive definite on any sphere"
 
 
 def _classify_generalized_cauchy(p):
-    if p["c"] <= 0 or p["tau"] <= 0:
-        return 0.0, False, "requires c > 0 and tau > 0"
-    if 0 < p["alpha"] <= 1:
+    if p["alpha"] <= 1:
         return math.inf, True, "alpha in (0,1] gives a completely monotone profile"
     return 0.0, False, f"alpha={p['alpha']:g} outside (0,1]: not positive definite on any sphere"
 
 
 def _classify_dagum(p):
-    if p["c"] <= 0:
-        return 0.0, False, "requires c > 0"
-    if 0 < p["tau"] <= 1 and 0 < p["alpha"] < p["tau"]:
+    if p["tau"] <= 1 and p["alpha"] < p["tau"]:
         return math.inf, True, "tau in (0,1] and alpha in (0,tau) give a completely monotone profile"
     return 0.0, False, "requires tau in (0,1] and alpha in (0,tau)"
 
 
 def _classify_multiquadric(p):
-    if p["tau"] > 0 and 0 < p["delta"] < 1:
-        return math.inf, True, "power series in cos(theta) with strictly positive coefficients"
-    return 0.0, False, "requires tau > 0 and delta in (0,1)"
+    if p["delta"] == 0:
+        return math.inf, False, "delta = 0 gives the constant 1: positive definite, not strictly"
+    return math.inf, True, "power series in cos(theta) with strictly positive coefficients"
 
 
 def _classify_sine_power(p):
     a = p["alpha"]
-    if 0 < a < 2:
+    if a < 2:
         return math.inf, True, "alpha in (0,2): strictly positive expansion coefficients"
     if a == 2:
         return math.inf, False, "alpha = 2 equals (1+cos theta)/2: positive definite, not strictly"
@@ -317,20 +317,18 @@ def _classify_sine_power(p):
 
 
 def _classify_spherical(p):
-    if p["c"] > 0:
-        return 3.0, True, "valid with great circle distance for every support c > 0, d <= 3"
-    return 0.0, False, "requires c > 0"
+    return 3.0, True, "valid with great circle distance for every support c > 0, d <= 3"
 
 
 def _classify_askey(p):
-    if p["c"] > 0 and p["tau"] >= 2:
+    if p["tau"] >= 2:
         return 3.0, True, "tau >= 2 valid with great circle distance for every c > 0, d <= 3"
-    return 0.0, False, "requires c > 0 and tau >= 2"
+    return 0.0, False, "requires tau >= 2"
 
 
 def _classify_wendland(min_tau):
     def classify(p):
-        if not 0 < p["c"] <= math.pi:
+        if p["c"] > math.pi:
             return 0.0, False, "support scale must lie in (0, pi]"
         if p["tau"] >= min_tau:
             return 3.0, True, f"tau >= {min_tau} and c in (0,pi]: valid for d <= 3"
@@ -340,7 +338,7 @@ def _classify_wendland(min_tau):
 
 
 def _classify_gaspari_cohn(p):
-    if 0 < p["c"] <= math.pi:
+    if p["c"] <= math.pi:
         return 3.0, True, "compactly supported profile valid with great circle distance, d <= 3"
     return 0.0, False, "support scale must lie in (0, pi]"
 
@@ -402,7 +400,7 @@ _FAMILIES: dict[str, _Family] = {
     "multiquadric": _Family(
         defaults={"tau": 1.0, "delta": 0.5},
         expression="(1-delta)^(2 tau)/(1+delta^2-2 delta cos theta)^tau",
-        rule="tau > 0; delta in (0,1); all dimensions, strict",
+        rule="tau > 0; delta in (0,1) strict; delta = 0 (constant 1) non-strict; all dimensions",
         psi=_psi_multiquadric,
         classify=_classify_multiquadric,
     ),
@@ -586,7 +584,8 @@ def _check_distance(t) -> np.ndarray:
 def evaluate(spec: KernelSpec, theta):
     """Evaluate psi(theta) for theta in [0, pi]; psi(0) = 1 exactly.
 
-    Validity is not required: out-of-range parameter sets evaluate too.
+    Validity is not required: specs outside the validity ranges evaluate
+    too.  Unlike ``as_psi``, this path has no finiteness gate.
     """
     arr = _check_theta(theta)
     out = _FAMILIES[spec.family].psi(spec.params, arr)
@@ -696,20 +695,23 @@ def breakpoints(spec: KernelSpec) -> tuple[float, ...]:
 def as_psi(kern) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]:
     """Coerce a KernelSpec or a callable psi(theta) to (psi, breakpoints).
 
-    A callable carries no breakpoints.  Anything else raises DomainError.
+    The returned psi passes the finiteness gate ``_finite_psi``.  A callable
+    carries no breakpoints.  Anything else raises DomainError.
     """
     if isinstance(kern, KernelSpec):
-        return (lambda th: evaluate(kern, th)), breakpoints(kern)
-    if callable(kern):
-        return (lambda th: np.asarray(kern(th), dtype=float)), ()
-    raise DomainError(f"kernel must be a KernelSpec or a callable, got {type(kern)!r}")
+        raw, breaks = (lambda th: evaluate(kern, th)), breakpoints(kern)
+    elif callable(kern):
+        raw, breaks = (lambda th: np.asarray(kern(th), dtype=float)), ()
+    else:
+        raise DomainError(f"kernel must be a KernelSpec or a callable, got {type(kern)!r}")
+    return (lambda th: _finite_psi(raw, th)), breaks
 
 
 def _finite_psi(psi, theta: np.ndarray) -> np.ndarray:
     """psi(theta), or a DomainError naming the first angle where it is not finite.
 
-    The gate of both psi sums: a Gram matrix and a coefficient projection fail
-    here rather than hand NaN or inf to an eigensolver, a factorization or a verdict.
+    The one finiteness gate, of ``as_psi`` and of the Polya convexity checks:
+    NaN or inf fails here rather than reach an eigensolver, a factorization or a verdict.
     """
     vals = psi(theta)
     bad = ~np.isfinite(vals)

@@ -62,12 +62,12 @@ class CriterionReport:
 def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray]):
     """Midpoint convexity on consecutive grid pairs: g(mid) <= avg within _TOL.
 
-    Also checks every grid triple against its chord, which catches a
-    downward jump even when the extra midpoint lands past it.
+    Also checks every grid triple against its chord, which catches a downward
+    jump even when the extra midpoint lands past it.  A non-finite g is a DomainError.
     """
-    gx = g(x)
+    gx = catalog._finite_psi(g, x)
     mids = 0.5 * (x[:-1] + x[1:])
-    excess = g(mids) - 0.5 * (gx[:-1] + gx[1:])
+    excess = catalog._finite_psi(g, mids) - 0.5 * (gx[:-1] + gx[1:])
     frac = (x[1:-1] - x[:-2]) / (x[2:] - x[:-2])
     chord_excess = gx[1:-1] - (gx[:-2] + (gx[2:] - gx[:-2]) * frac)
     scale = max(1.0, float(np.abs(gx).max()))

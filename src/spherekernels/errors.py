@@ -14,7 +14,7 @@ class UnknownFamilyError(SphereKernelsError):
 
 
 class ParameterError(SphereKernelsError):
-    """A kernel parameter is missing, non-finite, or otherwise unusable."""
+    """A kernel parameter is missing, outside its domain, or otherwise unusable."""
 
 
 class DimensionMismatchError(SphereKernelsError):

@@ -204,16 +204,15 @@ def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     profile is folded onto the h nodes below pi/2: even rows integrate
     near + far, odd rows near - far, where far is the profile at the mirrored
     node.  The recurrence runs only on the nodes where either is nonzero: a
-    compactly supported psi skips its zeros.  A psi value that is not finite
-    on the rule raises DomainError naming its angle, as in a Gram matrix.
-    ``quadrature_order`` counts the rule's nodes where the weighted profile
-    is nonzero.
+    compactly supported psi skips its zeros; a non-finite psi value is
+    ``as_psi``'s DomainError.  ``quadrature_order`` counts the rule's nodes
+    where the weighted profile is nonzero.
     """
     n_max = _check_count("n_max", n_max, 0)
     scale = _gegenbauer_scale(n_max, d)  # first: a d too large fails before the projection
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
-    fw = catalog._finite_psi(psi, x) * np.sin(x) ** (d - 1) * w
+    fw = psi(x) * np.sin(x) ** (d - 1) * w
     h = x.size // 2
     near, far = fw[:h], fw[h:][::-1]
     used = (near != 0) | (far != 0)

@@ -178,15 +178,14 @@ def _gram_blocks(kern, pts: SpherePointSet) -> Iterator[tuple[int, int, np.ndarr
 
     The block holds rows [a, b) of K in columns [0, b), so it covers its rows'
     part of the lower triangle plus the upper half of its diagonal square.
-    A non-finite psi value raises DomainError naming its angle, before any
-    eigensolver or factorization sees it.
+    psi comes gated from ``as_psi``: a non-finite value is a DomainError.
     """
     psi, _ = catalog.as_psi(kern)
     x = pts.points
     n = pts.n_points
     for rows in _row_blocks(n, n):
         theta = pairwise_angles(x[rows], x[: rows.stop])
-        yield rows.start, min(rows.stop, n), catalog._finite_psi(psi, theta)
+        yield rows.start, min(rows.stop, n), psi(theta)
 
 
 def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:

@@ -153,6 +153,27 @@ def circle_sine_power_coeffs(alpha, n_max):
     return b
 
 
+def sphere_sine_power_coeffs(alpha, n_max):
+    """Exact b_{n,2}, n = 0..n_max, of 1 - sin(theta/2)^alpha on S^2, alpha in (0, 2].
+
+    With beta = alpha/2, b_n = delta_{n0} - (2n+1)/2 2^{-beta} J_n and
+    J_n = (-1)^n 2^{beta+1} Gamma(beta+1)^2 / (Gamma(beta+n+2) Gamma(beta-n+1)),
+    so b_n = delta_{n0} - (-1)^n (2n+1) Gamma(beta+1)^2 / (Gamma(beta+n+2) Gamma(beta-n+1)).
+    1/Gamma(beta-n+1) is 0 at a pole (alpha = 2 gives b_0 = b_1 = 1/2) and
+    otherwise enters through ``gammaln`` and ``gammasgn``.
+    """
+    n = np.arange(n_max + 1)
+    beta = alpha / 2.0
+    z = beta - n + 1.0
+    pole = (z <= 0) & (z == np.floor(z))
+    z = np.where(pole, 0.5, z)  # any non-pole: its terms are zeroed below
+    log_mag = 2.0 * gammaln(beta + 1.0) - gammaln(beta + n + 2.0) - gammaln(z)
+    sign = np.where(n % 2 == 0, 1.0, -1.0) * gammasgn(z)
+    b = np.where(pole, 0.0, -(2.0 * n + 1.0) * sign * np.exp(log_mag))
+    b[0] += 1.0
+    return b
+
+
 def multiquadric_coeffs(delta, d, n_max):
     """Exact b_{n,d}, n = 0..n_max, of the multiquadric at tau = (d-1)/2 on S^d, d >= 2.
 

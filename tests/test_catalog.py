@@ -9,8 +9,11 @@ import warnings
 import numpy as np
 import pytest
 from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherekernels import (
+    FAMILY_NAMES,
     KernelSpec,
     SchoenbergSequence,
     SpherePointSet,
@@ -120,6 +123,19 @@ def test_dagum_reads_its_tau():
     closed = [1.0 - (math.sqrt(t / 2) / (1 + math.sqrt(t / 2))) ** 0.6 for t in theta]
     assert evaluate(spec, theta) == pytest.approx(closed, rel=1e-14)
     assert evaluate(spec, 1.0) != evaluate(kernel("dagum", c=2.0, tau=1.0, alpha=0.3), 1.0)
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.5, 0.8, 0.999, 0.99999, 1 - 1e-12])
+def test_multiquadric_is_one_at_zero_for_delta_near_one(delta):
+    theta = np.linspace(0.0, math.pi, 257)
+    for tau in (0.5, 1.0, 2.5):
+        spec = kernel("multiquadric", tau=tau, delta=delta)
+        got = evaluate(spec, theta)
+        assert got[0] == 1.0
+        if delta <= 0.8:  # the textbook form, where 1 + d^2 - 2d cos(theta) cancels little
+            old = (1 - delta) ** (2 * tau) / (1 + delta**2 - 2 * delta * np.cos(theta)) ** tau
+            assert np.max(np.abs(got - old)) <= 1e-14
+    polya_circle(kernel("multiquadric", tau=1.0, delta=delta))  # psi(0) = 1 within 1e-12
 
 
 @pytest.mark.parametrize("name", COMPACT)
@@ -251,7 +267,7 @@ def test_validation_spec_examples():
         ("dagum", {"c": 1.0, "tau": 1.0, "alpha": 0.99}, math.inf, True),
         ("dagum", {"c": 1.0, "tau": 1.0, "alpha": 1.0}, 0, False),
         ("multiquadric", {"tau": 2.0, "delta": 0.9}, math.inf, True),
-        ("multiquadric", {"tau": 2.0, "delta": 1.0}, 0, False),
+        ("multiquadric", {"tau": 2.0, "delta": 0.0}, math.inf, False),  # psi = 1
         ("sine_power", {"alpha": 1.99}, math.inf, True),
         ("sine_power", {"alpha": 2.0}, math.inf, False),
         ("sine_power", {"alpha": 2.2}, 0, False),
@@ -264,12 +280,6 @@ def test_validation_spec_examples():
         ("gaspari_cohn", {"c": math.pi}, 3, True),
         ("gaspari_cohn", {"c": 3.5}, 0, False),
         ("cosine", {}, math.inf, False),
-        # a scale c <= 0 is valid on no sphere
-        ("powered_exponential", {"c": -1.0, "alpha": 1.0}, 0, False),
-        ("matern", {"c": -1.0, "nu": 0.5}, 0, False),
-        ("generalized_cauchy", {"c": -1.0, "alpha": 1.0, "tau": 1.0}, 0, False),
-        ("dagum", {"c": -1.0, "tau": 1.0, "alpha": 0.5}, 0, False),
-        ("spherical", {"c": -1.0}, 0, False),
     ],
 )
 def test_validity_table(name, params, max_valid_d, strict):
@@ -280,6 +290,55 @@ def test_validity_table(name, params, max_valid_d, strict):
         if verdict.valid:
             assert verdict.strict == strict
             assert verdict.rule
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        # a scale c <= 0, a shape <= 0 and delta outside [0, 1) lie outside the domains
+        ("powered_exponential", {"c": -1.0, "alpha": 1.0}),
+        ("matern", {"c": -1.0, "nu": 0.5}),
+        ("generalized_cauchy", {"c": -1.0, "alpha": 1.0, "tau": 1.0}),
+        ("dagum", {"c": -1.0, "tau": 1.0, "alpha": 0.5}),
+        ("spherical", {"c": -1.0}),
+        ("multiquadric", {"tau": 2.0, "delta": 1.0}),
+        ("matern", {"c": 0.0, "nu": 0.5}),
+        ("matern", {"c": 1.0, "nu": 0.0}),
+        ("generalized_cauchy", {"c": 1.0, "alpha": 0.0, "tau": 1.0}),
+        ("dagum", {"c": 1.0, "tau": 0.0, "alpha": 0.5}),
+        ("wendland_c4", {"c": -1.0, "tau": 6.0}),
+        ("multiquadric", {"tau": 1.0, "delta": -0.1}),
+        # a subnormal shape: Gamma(nu) overflows, and dagum's alpha/tau rounds to 0
+        ("matern", {"c": 1.0, "nu": 5e-324}),
+        ("dagum", {"c": 1.0, "tau": 2.0, "alpha": 1e-310}),
+    ],
+)
+def test_specs_outside_the_parameter_domains_are_refused(name, params):
+    with pytest.raises(ParameterError, match=r"must lie in (\(0, inf\), not subnormal|\[0, 1\))"):
+        kernel(name, **params)
+
+
+_SCALES = st.sampled_from([-1.0, 0.0]) | st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+_DRAWS = {"c": _SCALES, "delta": st.floats(-0.5, 1.5)}  # the shapes: st.floats(-1, 10)
+
+
+@settings(deadline=None, max_examples=400)
+@given(st.sampled_from(FAMILY_NAMES), st.data())
+def test_a_spec_is_refused_or_its_psi_is_finite(name, data):
+    params = {k: data.draw(_DRAWS.get(k, st.floats(-1.0, 10.0)), label=k) for k in kernel(name).params}
+    tiny = np.finfo(float).tiny
+    outside = any(not 0 <= v < 1 if k == "delta" else v < tiny for k, v in params.items())
+    try:
+        spec = kernel(name, **params)
+    except ParameterError:
+        assert outside
+        return
+    assert not outside
+    theta = np.concatenate([[0.0, 1e-300, 1e-14, 1e-8], np.linspace(0.0, math.pi, 513)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = evaluate(spec, theta)
+    assert np.all(np.isfinite(vals)) and vals[0] == 1.0
 
 
 def test_validity_monotone_in_dimension():

@@ -390,11 +390,13 @@ def test_process_exit_codes():
     done = run("member", "--kernel", "matern", "--tol", "-1")
     assert done.returncode == 1 and done.stdout == ""
     assert done.stderr.startswith("error:") and done.stderr.count("\n") == 1
-    # c = 0 divides by zero: psi is NaN on the theta rule, an error rather than NaN output
-    # (numpy's RuntimeWarnings come first on stderr)
-    done = run("member", "--kernel", "matern:c=0", "--dim", "2")
-    assert done.returncode == 1 and done.stdout == ""
-    assert done.stderr.splitlines()[-1].startswith("error: psi is not finite at theta = ")
+    # c = 0 lies outside the scale's domain: the spec is refused before psi is
+    # evaluated, so no verb prints NaN or a numpy warning
+    for argv in (("eval", "--theta", "1"), ("criteria", "--criterion", "polya_circle"),
+                 ("member", "--dim", "2")):
+        done = run(argv[0], "--kernel", "matern:c=0", *argv[1:])
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == "error: matern: parameter c=0.0 must lie in (0, inf), not subnormal\n"
 
 
 def test_json_mirrors_csv_fields(capsys):

@@ -8,7 +8,15 @@ import pytest
 from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
 from scipy.integrate import IntegrationWarning, quad
 
-from spherekernels import catalog, kernel, membership, polya_2n1, polya_circle, polya_s3
+from spherekernels import (
+    catalog,
+    estimate_fractal_index,
+    kernel,
+    membership,
+    polya_2n1,
+    polya_circle,
+    polya_s3,
+)
 from spherekernels.errors import DomainError
 
 
@@ -144,6 +152,26 @@ def test_2n1_callable_profile_agrees_with_its_spec(n):
 def test_profile_callable_needs_dphi(check):
     with pytest.raises(DomainError, match="dphi"):
         check(lambda t: np.exp(-t))
+
+
+def _nan_past(t):  # exp(-t), NaN beyond 1e-3: inside every grid of the checks below
+    return np.where(t > 1e-3, math.nan, np.exp(-t))
+
+
+_NON_FINITE = {
+    "polya_circle": lambda: polya_circle(_nan_past),
+    "polya_s3": lambda: polya_s3(lambda t: np.exp(-t), dphi=_nan_past),
+    "polya_2n1-1": lambda: polya_2n1(lambda t: np.exp(-t), 1, dphi=_nan_past),
+    "polya_2n1-3": lambda: polya_2n1(lambda t: np.exp(-t), 3, dphi=_nan_past),
+    "estimate_fractal_index": lambda: estimate_fractal_index(_nan_past),
+}
+
+
+@pytest.mark.parametrize("call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_a_non_finite_callable_is_a_domain_error(call):
+    # NaN fails every comparison, so without the gate a convexity check answers YES
+    with pytest.raises(DomainError, match="is not finite at"):
+        call()
 
 
 def test_2n1_askey_tau5_order3_yes():
