@@ -707,16 +707,19 @@ def as_psi(kern) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]
     return (lambda th: _finite_psi(raw, th)), breaks
 
 
-def _finite_psi(psi, theta: np.ndarray) -> np.ndarray:
-    """psi(theta), or a DomainError naming the first angle where it is not finite.
+def _finite_psi(psi, theta: np.ndarray, quantity: str = "psi", arg: str = "theta") -> np.ndarray:
+    """psi(theta), or a DomainError naming the first argument where it is not finite.
 
     The one finiteness gate, of ``as_psi`` and of the Polya convexity checks:
     NaN or inf fails here rather than reach an eigensolver, a factorization or a verdict.
+    A caller that gates another function names it in ``quantity`` and its
+    argument in ``arg``; the message prints both numbers as plain floats.
     """
     vals = psi(theta)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        raise DomainError(f"psi is not finite at theta = {theta[bad][0]!r}: {vals[bad][0]!r}")
+        at, value = float(theta[bad][0]), float(vals[bad][0])
+        raise DomainError(f"{quantity} is not finite at {arg} = {at!r}: {value!r}")
     return vals
 
 

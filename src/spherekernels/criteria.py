@@ -59,15 +59,18 @@ class CriterionReport:
     details: dict = field(default_factory=dict)
 
 
-def _convexity_flags(x: np.ndarray, g: Callable[[np.ndarray], np.ndarray]):
+def _convexity_flags(
+    x: np.ndarray, g: Callable[[np.ndarray], np.ndarray], quantity: str, arg: str
+):
     """Midpoint convexity on consecutive grid pairs: g(mid) <= avg within _TOL.
 
     Also checks every grid triple against its chord, which catches a downward
-    jump even when the extra midpoint lands past it.  A non-finite g is a DomainError.
+    jump even when the extra midpoint lands past it.  A non-finite g is a
+    DomainError naming g as ``quantity`` and the grid variable as ``arg``.
     """
-    gx = catalog._finite_psi(g, x)
+    gx = catalog._finite_psi(g, x, quantity, arg)
     mids = 0.5 * (x[:-1] + x[1:])
-    excess = catalog._finite_psi(g, mids) - 0.5 * (gx[:-1] + gx[1:])
+    excess = catalog._finite_psi(g, mids, quantity, arg) - 0.5 * (gx[:-1] + gx[1:])
     frac = (x[1:-1] - x[:-2]) / (x[2:] - x[:-2])
     chord_excess = gx[1:-1] - (gx[:-2] + (gx[2:] - gx[:-2]) * frac)
     scale = max(1.0, float(np.abs(gx).max()))
@@ -96,7 +99,7 @@ def polya_circle(kern, grid_size: int = 512) -> CriterionReport:
     scale = max(1.0, float(np.abs(fx).max()))
     increases = x[1:][np.diff(fx) > _TOL * scale]
     soft_increases = x[1:][np.diff(fx) > 64 * np.finfo(float).eps * scale]
-    hard_cvx, soft_cvx = _convexity_flags(x, psi)
+    hard_cvx, soft_cvx = _convexity_flags(x, psi, "psi", "theta")
     nodes, weights = schoenberg._theta_rule(breaks, 0)
     integral = float(weights @ psi(nodes))
     integral_bad = integral < -1e-10
@@ -161,7 +164,8 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, d
     start = math.log10(_FD_GRID_START) if fd_based else -6.0
     span = (2.0 if squared else 1.0) * math.log10(T)
     t_grid = np.logspace(start, span, grid_size)
-    hard, soft = _convexity_flags(t_grid, g)
+    quantity = ("-phi'", "phi''", "-phi'''")[order - 1] + ("(sqrt(t))" if squared else "(t)")
+    hard, soft = _convexity_flags(t_grid, g, quantity, "t")
     satisfied = _verdict(hard, soft)
     if satisfied == "YES" and not limit_ok:
         satisfied = "INCONCLUSIVE"

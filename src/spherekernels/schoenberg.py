@@ -20,10 +20,13 @@ where a single rule would stall at a few digits.
 
 The rule is a mirror about pi/2: its half on [0, pi/2] is split at every
 breakpoint b and at pi - b, and the other half is theta -> pi - theta with
-the same weights.  Since R_n(-x) = (-1)^n R_n(x), bit for bit in the
-recurrence, the projection folds the weighted profile onto the nodes below
-pi/2 (near + far for even n, near - far for odd n) and runs the basis
-recurrence on those nodes only: half the rule for a full-support kernel.
+the same weights.  Since R_n(-x) = (-1)^n R_n(x), the projection folds
+the weighted profile onto the nodes below pi/2 (near + far for even n,
+near - far for odd n) and sums on those nodes only: half the rule for a
+full-support kernel.  At d = 1, 3 and 5 the normalized basis is
+trigonometric, and the sums come from the moments sum_j W_j e^{ik t_j},
+k <= n_max + 3, formed as a few small matrix products per parity; at
+every other d they run the basis recurrence of ``special``.
 
 One exact two-term recursion connects dimensions d and d+2 for every
 d >= 1 (the walk; two walks from the circle give S^5).  Verdicts are
@@ -70,6 +73,7 @@ __all__ = [
 _GRADE_LEVELS = 36
 _PHASE_PER_PANEL = 100.0  # max oscillation phase handled by one 48-point panel
 _STRICT_TOL = 1e-12  # strictness evidence counts the coefficients above this
+_MOMENT_ENTRIES = 2**16  # values held per node chunk of the trigonometric moments
 
 
 @dataclass(frozen=True)
@@ -200,16 +204,30 @@ def _theta_rule(breaks: tuple[float, ...], n_max: int) -> tuple[np.ndarray, np.n
 def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule.
 
-    The rule mirrors about pi/2 and R_n(-x) = (-1)^n R_n(x), so the weighted
-    profile is folded onto the h nodes below pi/2: even rows integrate
-    near + far, odd rows near - far, where far is the profile at the mirrored
-    node.  The recurrence runs only on the nodes where either is nonzero: a
-    compactly supported psi skips its zeros; a non-finite psi value is
-    ``as_psi``'s DomainError.  ``quadrature_order`` counts the rule's nodes
-    where the weighted profile is nonzero.
+    ``_fold`` gives the folded profile on the nodes below pi/2; the sums over
+    it are trigonometric moments at d = 1, 3 and 5 (``_moment_sums``) and
+    the basis recurrence at every other d (``_recurrence_sums``).
     """
     n_max = _check_count("n_max", n_max, 0)
     scale = _gegenbauer_scale(n_max, d)  # first: a d too large fails before the projection
+    t, folded, order = _fold(kern, d, n_max)
+    sums = _moment_sums if d in (1, 3, 5) else _recurrence_sums
+    coeffs = sums(d, n_max, t, folded)
+    coeffs *= scale
+    return SchoenbergSequence(d, coeffs, quadrature_order=order, source="direct_quadrature")
+
+
+def _fold(kern, d: int, n_max: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray], int]:
+    """(t, (near + far, near - far), quadrature_order) of (sin t)^{d-1} psi(t) on the theta rule.
+
+    The rule mirrors about pi/2 and R_n(-x) = (-1)^n R_n(x), so the weighted
+    profile is folded onto the h nodes below pi/2: even rows integrate
+    near + far, odd rows near - far, where far is the profile at the mirrored
+    node.  Only the nodes t where either is nonzero are kept: a compactly
+    supported psi skips its zeros; a non-finite psi value is ``as_psi``'s
+    DomainError.  ``quadrature_order`` counts the rule's nodes where the
+    weighted profile is nonzero.
+    """
     psi, breaks = catalog.as_psi(kern)
     x, w = _theta_rule(breaks, n_max)
     fw = psi(x) * np.sin(x) ** (d - 1) * w
@@ -217,17 +235,86 @@ def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     near, far = fw[:h], fw[h:][::-1]
     used = (near != 0) | (far != 0)
     near, far = near[used], far[used]
-    folded = (near + far, near - far)  # for even and odd n
+    return x[:h][used], (near + far, near - far), np.count_nonzero(fw)
+
+
+def _recurrence_sums(d: int, n_max: int, t: np.ndarray, folded) -> np.ndarray:
+    """sum_j R_n(cos t_j) folded[n % 2]_j for n = 0..n_max, by the basis recurrence."""
     coeffs = np.empty(n_max + 1)
-    for start, S, s in _normalized_blocks(n_max, (d - 1) / 2.0, np.cos(x[:h][used])):
+    for start, S, s in _normalized_blocks(n_max, (d - 1) / 2.0, np.cos(t)):
         for i in (0, 1):  # rows start + i, start + i + 2, ...
             rows = slice(i, s.size, 2)
             out = coeffs[start + i : start + s.size : 2]
             np.multiply(S[rows] @ folded[(start + i) % 2], s[rows], out=out)
-    coeffs *= scale
-    return SchoenbergSequence(
-        d, coeffs, quadrature_order=np.count_nonzero(fw), source="direct_quadrature"
-    )
+    return coeffs
+
+
+def _powers(z: np.ndarray, out: np.ndarray, first=1.0) -> np.ndarray:
+    """Rows first * z^j, j < m, into the complex ``out`` (m x len(z)).
+
+    Rows k..2k-1 are rows 0..k-1 times z^k, for k = 1, 2, 4, ...: log2(m)
+    vectorized steps instead of m.
+    """
+    out[0] = first
+    k, zk = 1, z
+    while k < out.shape[0]:
+        step = min(k, out.shape[0] - k)
+        np.multiply(out[:step], zk, out=out[k : k + step])
+        k, zk = 2 * k, zk * zk
+    return out
+
+
+def _moment_sums(d: int, n_max: int, t: np.ndarray, folded) -> np.ndarray:
+    """The sums of ``_recurrence_sums`` at d = 1, 3 and 5, from trigonometric moments.
+
+    At lam = (d-1)/2 = 0, 1, 2 the basis is trigonometric (DLMF 18.5):
+    R_n(cos t) = cos nt, sin t R_n = sin((n+1)t)/(n+1) and
+    sin^3 t R_n = (3/2)[sin((n+1)t)/((n+1)(n+2)) - sin((n+3)t)/((n+2)(n+3))].
+    With W = folded / sin^{d-2} t (W = folded at d = 1) and
+    M(k) = sum_j W_j e^{ikt_j}, the sum of row n is Re M(n), Im M(n+1)/(n+1),
+    or (3/2)[Im M(n+1)/((n+1)(n+2)) - Im M(n+3)/((n+2)(n+3))], each k
+    reading the fold of n's parity: one parity of k per fold.
+
+    Split k = 2(qL + s) + p with L a power of two and K = 2L (so K t is
+    exact).  For each parity p the parts M_p[q, s] are one real
+    (Q x 2c) @ (2c x L) product per chunk of c nodes, on the float views of
+    two complex arrays: Re(a b) is the real dot product of conj(a) and b,
+    and Im(a b) = Re(-i a b), so the left rows are conj(W_p e^{ipt})
+    e^{-iqKt} (times i for Im) and the right rows e^{2ist}, both built by
+    ``_powers``.  A chunk holds at most 2^16 values (0.5 MB), less than the
+    recurrence's own buffer on the 2088 nodes of a full-support rule at
+    n_max = 2000 (34 rows, 0.54 MB).
+    """
+    k_max = n_max + (0, 1, 3)[d // 2]
+    per_parity = k_max // 2 + 1
+    L = 1 << math.ceil(math.log2(per_parity) / 2)
+    Q = -(-per_parity // L)
+    K = 2 * L
+    if d == 1:
+        w, part = folded, 1.0  # even k reads near + far
+    else:
+        w, part = [f / np.sin(t) ** (d - 2) for f in folded[::-1]], 1j  # even k reads near - far
+    # nodes per chunk: Zs, ZW and a few vectors per node, two entries per complex value
+    chunk = max(1, min(t.size, _MOMENT_ENTRIES // (2 * (L + Q + 7))))
+    M = np.zeros((2, Q, L))  # even k, odd k
+    Zs = np.empty((L, chunk), dtype=complex)
+    ZW = np.empty((Q, chunk), dtype=complex)
+    for a in range(0, t.size, chunk):
+        tc = t[a : a + chunk]
+        zs = _powers(np.exp(2j * tc), Zs[:, : tc.size])
+        zK = np.exp(-1j * K * tc)
+        u = (w[0][a : a + chunk] * part, w[1][a : a + chunk] * (part * np.exp(-1j * tc)))
+        for p in (0, 1):
+            zw = _powers(zK, ZW[:, : tc.size], u[p])
+            M[p] += zw.view(float) @ zs.view(float).T
+    mom = M.transpose(1, 2, 0).ravel()  # M(k) for k = 2(qL + s) + p
+    n = np.arange(n_max + 1.0)
+    if d == 1:
+        return mom[: n_max + 1]
+    if d == 3:
+        return mom[1 : n_max + 2] / (n + 1)
+    first, second = mom[1 : n_max + 2] / (n + 1), mom[3 : n_max + 4] / (n + 3)
+    return 1.5 * (first - second) / (n + 2)
 
 
 @lru_cache(maxsize=8)

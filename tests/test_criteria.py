@@ -1,6 +1,7 @@
 """Convexity-criterion checkers and their consistency with the verdicts."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -159,19 +160,29 @@ def _nan_past(t):  # exp(-t), NaN beyond 1e-3: inside every grid of the checks b
 
 
 _NON_FINITE = {
-    "polya_circle": lambda: polya_circle(_nan_past),
-    "polya_s3": lambda: polya_s3(lambda t: np.exp(-t), dphi=_nan_past),
-    "polya_2n1-1": lambda: polya_2n1(lambda t: np.exp(-t), 1, dphi=_nan_past),
-    "polya_2n1-3": lambda: polya_2n1(lambda t: np.exp(-t), 3, dphi=_nan_past),
-    "estimate_fractal_index": lambda: estimate_fractal_index(_nan_past),
+    # each message names the checked function, its grid variable (t^2 on
+    # polya_s3's grid) and plain floats
+    "polya_circle": (lambda: polya_circle(_nan_past),
+                     r"psi is not finite at theta = 0\.0061479\d*: nan"),
+    "polya_s3": (lambda: polya_s3(lambda t: np.exp(-t), dphi=_nan_past),
+                 r"-phi'\(sqrt\(t\)\) is not finite at t = 1\.0944997\d*e-06: nan"),
+    "polya_2n1-1": (lambda: polya_2n1(lambda t: np.exp(-t), 1, dphi=_nan_past),
+                    r"-phi'\(t\) is not finite at t = 0\.0010274\d*: nan"),
+    "polya_2n1-2": (lambda: polya_2n1(lambda t: np.exp(-t), 2, dphi=_nan_past),
+                    r"phi''\(t\) is not finite at t = 0\.01: nan"),
+    "polya_2n1-3": (lambda: polya_2n1(lambda t: np.exp(-t), 3, dphi=_nan_past),
+                    r"-phi'''\(t\) is not finite at t = 0\.01: nan"),
+    "estimate_fractal_index": (lambda: estimate_fractal_index(_nan_past),
+                               r"psi is not finite at theta = 0\.0011288\d*: nan"),
 }
 
 
-@pytest.mark.parametrize("call", _NON_FINITE.values(), ids=_NON_FINITE.keys())
-def test_a_non_finite_callable_is_a_domain_error(call):
+@pytest.mark.parametrize("call,message", _NON_FINITE.values(), ids=_NON_FINITE.keys())
+def test_a_non_finite_callable_is_a_domain_error(call, message):
     # NaN fails every comparison, so without the gate a convexity check answers YES
-    with pytest.raises(DomainError, match="is not finite at"):
+    with pytest.raises(DomainError) as err:
         call()
+    assert re.fullmatch(message, str(err.value)), str(err.value)
 
 
 def test_2n1_askey_tau5_order3_yes():
