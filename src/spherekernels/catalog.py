@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _MATERN_T_FLOOR = 1e-14  # below this, psi is 1 to double precision
+_MATERN_T_ZERO = 1e3  # K_nu is exactly 0 from here on; t^nu stays finite for nu <= 100
 
 # Each parameter's domain, the same in every family (c a scale; alpha, nu and
 # tau shapes; delta a ratio).  NaN fails.  A subnormal shape would overflow
@@ -121,7 +122,8 @@ def _pos(t: np.ndarray) -> np.ndarray:
 # --- closed forms (theta-argument) -----------------------------------------
 
 def _psi_powered_exponential(p, th):
-    return np.exp(-((th / p["c"]) ** p["alpha"]))
+    with np.errstate(over="ignore"):  # (th/c)^alpha = inf at a tiny c gives the limit psi = 0
+        return np.exp(-((th / p["c"]) ** p["alpha"]))
 
 
 def _psi_matern(p, th):
@@ -130,16 +132,19 @@ def _psi_matern(p, th):
     out = np.ones_like(t)
     big = t >= _MATERN_T_FLOOR
     tb = t[big]
+    np.minimum(tb, _MATERN_T_ZERO, out=tb)  # psi is exactly 0 from there on
     out[big] = (2.0 ** (1.0 - nu) / math.gamma(nu)) * tb**nu * bessel_k(nu, tb)
     return out
 
 
 def _psi_generalized_cauchy(p, th):
-    return (1.0 + (th / p["c"]) ** p["alpha"]) ** (-p["tau"] / p["alpha"])
+    with np.errstate(over="ignore"):  # as in powered_exponential: inf gives psi = 0
+        return (1.0 + (th / p["c"]) ** p["alpha"]) ** (-p["tau"] / p["alpha"])
 
 
 def _psi_dagum(p, th):
-    v = (th / p["c"]) ** p["tau"]
+    with np.errstate(over="ignore"):  # v/(1+v) is exactly 1 from v = 2^54 on, and inf/inf is NaN
+        v = np.minimum((th / p["c"]) ** p["tau"], 2.0**60)
     return 1.0 - (v / (1.0 + v)) ** (p["alpha"] / p["tau"])
 
 
@@ -152,23 +157,27 @@ def _psi_sine_power(p, th):
     return 1.0 - np.sin(th / 2.0) ** p["alpha"]
 
 
+# spherical, askey and the Wendland functions clip u = th/c at 1, the support's
+# edge: values inside are unchanged, psi is exactly 0 past it, and no power of u
+# overflows at a tiny c.
+
 def _psi_spherical(p, th):
-    u = th / p["c"]
-    return (1.0 + 0.5 * u) * _pos(1.0 - u) ** 2
+    u = np.minimum(th / p["c"], 1.0)
+    return (1.0 + 0.5 * u) * (1.0 - u) ** 2
 
 
 def _psi_askey(p, th):
-    return _pos(1.0 - th / p["c"]) ** p["tau"]
+    return (1.0 - np.minimum(th / p["c"], 1.0)) ** p["tau"]
 
 
 def _psi_wendland_c2(p, th):
-    u, tau = th / p["c"], p["tau"]
-    return (1.0 + tau * u) * _pos(1.0 - u) ** tau
+    u, tau = np.minimum(th / p["c"], 1.0), p["tau"]
+    return (1.0 + tau * u) * (1.0 - u) ** tau
 
 
 def _psi_wendland_c4(p, th):
-    u, tau = th / p["c"], p["tau"]
-    return (1.0 + tau * u + (tau * tau - 1.0) / 3.0 * u * u) * _pos(1.0 - u) ** tau
+    u, tau = np.minimum(th / p["c"], 1.0), p["tau"]
+    return (1.0 + tau * u + (tau * tau - 1.0) / 3.0 * u * u) * (1.0 - u) ** tau
 
 
 def _gc_profile(t: np.ndarray) -> np.ndarray:

@@ -341,6 +341,29 @@ def test_a_spec_is_refused_or_its_psi_is_finite(name, data):
     assert np.all(np.isfinite(vals)) and vals[0] == 1.0
 
 
+# the default shapes, and shapes whose power of th/c overflows at a tiny c
+_TINY_SCALE_SPECS = [(name, {}) for name in FAMILY_NAMES if "c" in kernel(name).params] + [
+    ("powered_exponential", {"alpha": 2.0}),
+    ("generalized_cauchy", {"alpha": 2.0}),
+    ("dagum", {"tau": 2.0, "alpha": 1.0}),
+    ("matern", {"nu": 3.0}),
+    ("wendland_c2", {"tau": 10.0}),
+]
+
+
+@pytest.mark.parametrize("c", [2.3e-308, 1e-300, 1e-160])
+@pytest.mark.parametrize(
+    "name,shape", _TINY_SCALE_SPECS, ids=[f"{n}{s}" for n, s in _TINY_SCALE_SPECS]
+)
+def test_psi_is_finite_at_the_smallest_scales(name, shape, c):
+    # th/c reaches 1.4e308 and its powers overflow: psi takes its limit,
+    # exactly 0 past a compact support, and raises no warning
+    vals = evaluate(kernel(name, c=c, **shape), np.array([0.0, 1e-3, 1.0, 3.0, math.pi]))
+    assert vals[0] == 1.0 and np.all((vals >= 0.0) & (vals <= 1.0))
+    if name in COMPACT:
+        assert np.all(vals[1:] == 0.0)
+
+
 def test_validity_monotone_in_dimension():
     for spec in _all_in_range_specs():
         flags = [validate_params(spec, d).valid for d in (1, 2, 3, 4, 5, math.inf)]

@@ -195,7 +195,7 @@ def test_theta_rule_mirrors_about_half_pi(breaks):
 
 def test_full_support_recurrence_runs_on_the_nodes_below_half_pi(monkeypatch):
     # the rule has 4176 nodes at n_max = 2000, all used; the sums see half:
-    # the moments at d = 1, 3, 5 and the basis recurrence at d = 2
+    # the moments at d = 1, 2, 3, 5 and the basis recurrence at d = 4
     sizes = []
 
     def recording(name, real):
@@ -206,10 +206,10 @@ def test_full_support_recurrence_runs_on_the_nodes_below_half_pi(monkeypatch):
 
     monkeypatch.setattr(schoenberg, "_moment_sums", recording("moments", schoenberg._moment_sums))
     monkeypatch.setattr(schoenberg, "_normalized_blocks", recording("blocks", _normalized_blocks))
-    for d in (1, 2, 3, 5):
+    for d in (1, 2, 3, 4, 5):
         seq = fourier_coeffs(_cos, 2000) if d == 1 else gegenbauer_coeffs(_cos, d, 2000)
         assert seq.quadrature_order == 4176
-    assert sizes == [("moments", 2088), ("blocks", 2088), ("moments", 2088), ("moments", 2088)]
+    assert sizes == [("moments", 2088)] * 3 + [("blocks", 2088), ("moments", 2088)]
 
 
 @pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
@@ -242,12 +242,13 @@ _CATALOG_BOXES = {
 @settings(deadline=None, max_examples=60)
 @given(
     st.sampled_from(sorted(_CATALOG_BOXES)),
-    st.sampled_from([1, 3, 5]),
+    st.sampled_from([1, 2, 3, 5]),
     st.sampled_from([10, 200, 2000]),
     st.data(),
 )
 def test_moment_and_recurrence_sums_agree_on_the_same_folded_input(family, d, n_max, data):
-    # the bounds of the same-rule tests above: 1e-12 at d = 1, 1e-13 g_{n,d} at d = 3, 5
+    # the bounds of the same-rule tests above: 1e-12 at d = 1, 1e-13 g_{n,d} at d = 3, 5;
+    # at d = 2 the Legendre connection sum is within 1e-15 g_{n,2} (measured at most 4.4e-16)
     box = _CATALOG_BOXES[family]
     params = {k: data.draw(st.floats(lo, hi), label=k) for k, (lo, hi) in box.items()}
     spec = kernel(family, **params)
@@ -255,7 +256,18 @@ def test_moment_and_recurrence_sums_agree_on_the_same_folded_input(family, d, n_
     g = _gegenbauer_scale(n_max, d)
     moments = g * schoenberg._moment_sums(d, n_max, t, folded)
     recurrence = g * schoenberg._recurrence_sums(d, n_max, t, folded)
-    assert np.all(np.abs(moments - recurrence) <= (1e-12 if d == 1 else 1e-13 * g))
+    bound = {1: 1e-12, 2: 1e-15 * g}.get(d, 1e-13 * g)
+    assert np.all(np.abs(moments - recurrence) <= bound)
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3])
+def test_legendre_sums_from_the_cosine_moments_at_the_smallest_n_max(n_max):
+    # n_max = 0 has no odd row; n_max = 1 one row of each parity
+    t, folded, _ = schoenberg._fold(kernel("matern", c=0.7, nu=0.3), 2, n_max)
+    moments = schoenberg._moment_sums(2, n_max, t, folded)
+    assert moments.shape == (n_max + 1,)
+    recurrence = schoenberg._recurrence_sums(2, n_max, t, folded)
+    assert np.all(np.abs(moments - recurrence) <= 1e-15)  # b_n within 1e-15 g_{n,2}
 
 
 # S^3 and S^5 coefficients of the circle closed forms, walked exactly:
@@ -329,7 +341,7 @@ def test_projection_does_not_store_the_basis():
 
 def test_successive_projections_are_bit_identical():
     spec = kernel("askey", c=1.2, tau=2.5)
-    for d in (1, 3, 5):
+    for d in (1, 2, 3, 5):
         first = fourier_coeffs(spec, 300) if d == 1 else gegenbauer_coeffs(spec, d, 300)
         again = fourier_coeffs(spec, 300) if d == 1 else gegenbauer_coeffs(spec, d, 300)
         assert np.array_equal(first.coeffs, again.coeffs)
