@@ -44,12 +44,16 @@ __all__ = [
 
 _MATERN_T_FLOOR = 1e-14  # below this, psi is 1 to double precision
 _MATERN_T_ZERO = 1e3  # K_nu is exactly 0 from here on; t^nu stays finite for nu <= 100
+_MATERN_NU_MAX = 20.0  # K_nu(_MATERN_T_FLOOR) is 6.4e302 at nu = 20 and overflows from about 20.1
 
 # Each parameter's domain, the same in every family (c a scale; alpha, nu and
 # tau shapes; delta a ratio).  NaN fails.  A subnormal shape would overflow
 # Gamma(nu) in matern, or round dagum's alpha/tau to 0 and make psi(0) = 0.
-_POSITIVE = ("(0, inf), not subnormal", lambda v: np.finfo(float).tiny <= v < math.inf)
-_DOMAINS = {"c": _POSITIVE, "alpha": _POSITIVE, "nu": _POSITIVE, "tau": _POSITIVE}
+# Only matern has nu; it is not positive definite on any sphere past 1/2.
+_TINY = np.finfo(float).tiny
+_POSITIVE = ("(0, inf), not subnormal", lambda v: _TINY <= v < math.inf)
+_DOMAINS = {"c": _POSITIVE, "alpha": _POSITIVE, "tau": _POSITIVE}
+_DOMAINS["nu"] = ("(0, 20], not subnormal", lambda v: _TINY <= v <= _MATERN_NU_MAX)
 _DOMAINS["delta"] = ("[0, 1)", lambda v: 0 <= v < 1)
 
 

@@ -23,19 +23,17 @@ breakpoint b and at pi - b, and the other half is theta -> pi - theta with
 the same weights.  Since R_n(-x) = (-1)^n R_n(x), the projection folds
 the weighted profile onto the nodes below pi/2 (near + far for even n,
 near - far for odd n) and sums on those nodes only: half the rule for a
-full-support kernel.  At d = 1, 3 and 5 the normalized basis is
-trigonometric, and the sums come from the moments sum_j W_j e^{ik t_j},
-k <= n_max + 3, formed as a few small matrix products per parity; at
-d = 2 Legendre's Fourier series turns the cosine moments of d = 1 into
-the sums.  At d = 4 and d >= 6 they run the basis recurrence of
-``special``: a connection sum from the moments loses digits like
-n^lam eps there.
+full-support kernel.  On the circle the sums are the cosine moments
+sum_j W_j cos(k t_j), formed as a few small matrix products per parity,
+and on S^2 Legendre's Fourier series turns them into the Legendre sums.
 
 One exact two-term recursion connects dimensions d and d+2 for every
-d >= 1 (the walk; two walks from the circle give S^5).  Verdicts are
-three-tier: FAIL is certified by a robustly negative coefficient, PASS is
-evidence at a declared tail tolerance, and INCONCLUSIVE absorbs the rest;
-finite truncations cannot certify the infinite conditions.
+d >= 1 (the walk).  The projection reaches S^3, S^4 and S^5 by walking
+the S^1 or S^2 coefficients up, and d >= 6 runs the basis recurrence of
+``special``.  Verdicts are three-tier: FAIL is certified by a robustly
+negative coefficient, PASS is evidence at a declared tail tolerance, and
+INCONCLUSIVE absorbs the rest; finite truncations cannot certify the
+infinite conditions.
 """
 
 from __future__ import annotations
@@ -207,23 +205,29 @@ def _theta_rule(breaks: tuple[float, ...], n_max: int) -> tuple[np.ndarray, np.n
 def _project(kern, d: int, n_max: int) -> SchoenbergSequence:
     """b_{n,d} = g_{n,d} * int R_n(cos t) (sin t)^{d-1} psi(t) dt on the theta rule.
 
-    ``_fold`` gives the folded profile on the nodes below pi/2; the sums over
-    it are trigonometric moments at d = 1, 2, 3 and 5 (``_moment_sums``) and
-    the basis recurrence at d = 4 and d >= 6 (``_recurrence_sums``).  The
-    moments would serve every d through the connection coefficients of
-    C_n^lam in cos((n-2l)t), but there the error of every moment reaches
-    b_n with its full weight, where the recurrence's basis decays like
-    (n sin t)^-lam away from the poles: the connection sum loses digits
-    like n^lam eps.  Max |b_n - exact| for cosine at n_max = 2000, sum
-    against recurrence: 2.3e-13 and 5.8e-13 at d = 2, 6.7e-10 and 2.9e-10
-    at d = 4, 2.8e-2 and 1.4e-6 at d = 7.  So it runs only at d = 2.
+    ``_fold`` gives the folded profile on the nodes below pi/2.  Only S^1
+    and S^2 are projected from trigonometric moments (``_moment_sums``).
+    d = 3, 4 and 5 take those base sums of d = 1 or 2 up to
+    n_max + d - base on the same n_max rule and walk them up exactly
+    (``_walk``); d >= 6 runs the basis recurrence (``_recurrence_sums``).
+    Max |b_n - exact| at n_max = 2000, walk against recurrence: cosine
+    1.6e-10 and 2.9e-10 on S^4, 6.8e-8 and 7.2e-8 on S^6, 1.1e-6 and
+    1.4e-6 on S^7.  Each walk divides by d, and from d = 15 on the walked
+    sums lose more digits than the recurrence (multiquadric on S^30 at
+    n_max = 100: 1.2e-4 against 5.6e-7), so the walk stops at d = 5.  The
+    connection sum of C_n^lam in cos((n-2l)t) loses digits like n^lam eps
+    (cosine on S^7: 2.8e-2), so it serves d = 2 only.
     """
     n_max = _check_count("n_max", n_max, 0)
-    scale = _gegenbauer_scale(n_max, d)  # first: a d too large fails before the projection
-    t, folded, order = _fold(kern, d, n_max)
-    sums = _moment_sums if d in (1, 2, 3, 5) else _recurrence_sums
-    coeffs = sums(d, n_max, t, folded)
+    base = d if d > 5 else 2 - d % 2
+    n_top = n_max + d - base
+    scale = _gegenbauer_scale(n_top, base)  # first: a d too large fails before the projection
+    t, folded, order = _fold(kern, base, n_max)
+    sums = _moment_sums if base <= 2 else _recurrence_sums
+    coeffs = sums(base, n_top, t, folded)
     coeffs *= scale
+    for k in range(base, d, 2):
+        coeffs = _walk(coeffs, k)
     return SchoenbergSequence(d, coeffs, quadrature_order=order, source="direct_quadrature")
 
 
@@ -275,37 +279,25 @@ def _powers(z: np.ndarray, out: np.ndarray, first=1.0) -> np.ndarray:
 
 
 def _moment_sums(d: int, n_max: int, t: np.ndarray, folded) -> np.ndarray:
-    """The sums of ``_recurrence_sums`` at d = 1, 2, 3 and 5, from trigonometric moments.
+    """The sums of ``_recurrence_sums`` at d = 1 and 2, from trigonometric moments.
 
-    At lam = (d-1)/2 = 0, 1, 2 the basis is trigonometric (DLMF 18.5):
-    R_n(cos t) = cos nt, sin t R_n = sin((n+1)t)/(n+1) and
-    sin^3 t R_n = (3/2)[sin((n+1)t)/((n+1)(n+2)) - sin((n+3)t)/((n+2)(n+3))].
-    With W = folded / sin^{d-2} t (W = folded at d = 1 and 2) and
-    M(k) = sum_j W_j e^{ikt_j}, the sum of row n is Re M(n), Im M(n+1)/(n+1),
-    or (3/2)[Im M(n+1)/((n+1)(n+2)) - Im M(n+3)/((n+2)(n+3))], each k
-    reading the fold of n's parity: one parity of k per fold.  At d = 2
-    the cosine moments Re M(k), k <= n_max, of d = 1 go through
-    ``_legendre_from_cosines``.
+    With M(k) = sum_j W_j e^{ikt_j}, k <= n_max, where W is the fold of k's
+    parity, the sum of row n is Re M(n) at d = 1 (R_n(cos t) = cos nt); at
+    d = 2 these cosine moments go through ``_legendre_from_cosines``.
 
     Split k = 2(qL + s) + p with L a power of two and K = 2L (so K t is
     exact).  For each parity p the parts M_p[q, s] are one real
     (Q x 2c) @ (2c x L) product per chunk of c nodes, on the float views of
     two complex arrays: Re(a b) is the real dot product of conj(a) and b,
-    and Im(a b) = Re(-i a b), so the left rows are conj(W_p e^{ipt})
-    e^{-iqKt} (times i for Im) and the right rows e^{2ist}, both built by
-    ``_powers``.  A chunk holds at most 2^16 values (0.5 MB), less than the
-    recurrence's own buffer on the 2088 nodes of a full-support rule at
-    n_max = 2000 (34 rows, 0.54 MB).
+    so the left rows are conj(W_p e^{ipt}) e^{-iqKt} and the right rows
+    e^{2ist}, both built by ``_powers``.  A chunk holds at most 2^16 values
+    (0.5 MB), less than the recurrence's own buffer on the 2088 nodes of a
+    full-support rule at n_max = 2000 (34 rows, 0.54 MB).
     """
-    k_max = n_max + (0, 0, 1, 0, 3)[d - 1]
-    per_parity = k_max // 2 + 1
+    per_parity = n_max // 2 + 1
     L = 1 << math.ceil(math.log2(per_parity) / 2)
     Q = -(-per_parity // L)
     K = 2 * L
-    if d <= 2:
-        w, part = folded, 1.0  # even k reads near + far
-    else:
-        w, part = [f / np.sin(t) ** (d - 2) for f in folded[::-1]], 1j  # even k reads near - far
     # nodes per chunk: Zs, ZW and a few vectors per node, two entries per complex value
     chunk = max(1, min(t.size, _MOMENT_ENTRIES // (2 * (L + Q + 7))))
     M = np.zeros((2, Q, L))  # even k, odd k
@@ -315,20 +307,12 @@ def _moment_sums(d: int, n_max: int, t: np.ndarray, folded) -> np.ndarray:
         tc = t[a : a + chunk]
         zs = _powers(np.exp(2j * tc), Zs[:, : tc.size])
         zK = np.exp(-1j * K * tc)
-        u = (w[0][a : a + chunk] * part, w[1][a : a + chunk] * (part * np.exp(-1j * tc)))
+        u = (folded[0][a : a + chunk], folded[1][a : a + chunk] * np.exp(-1j * tc))
         for p in (0, 1):
             zw = _powers(zK, ZW[:, : tc.size], u[p])
             M[p] += zw.view(float) @ zs.view(float).T
-    mom = M.transpose(1, 2, 0).ravel()  # M(k) for k = 2(qL + s) + p
-    n = np.arange(n_max + 1.0)
-    if d == 1:
-        return mom[: n_max + 1]
-    if d == 2:
-        return _legendre_from_cosines(mom[: n_max + 1])
-    if d == 3:
-        return mom[1 : n_max + 2] / (n + 1)
-    first, second = mom[1 : n_max + 2] / (n + 1), mom[3 : n_max + 4] / (n + 3)
-    return 1.5 * (first - second) / (n + 2)
+    mom = M.transpose(1, 2, 0).ravel()[: n_max + 1]  # M(k) for k = 2(qL + s) + p
+    return mom if d == 1 else _legendre_from_cosines(mom)
 
 
 def _legendre_from_cosines(cos_moments: np.ndarray) -> np.ndarray:
@@ -439,14 +423,19 @@ def walk_d_to_d2(seq: SchoenbergSequence) -> SchoenbergSequence:
     """
     if seq.n_max < 2:
         raise DimensionMismatchError("walk needs at least coefficients up to n=2")
-    b, d = seq.coeffs, seq.d
-    n_out = seq.n_max - 2
+    return SchoenbergSequence(seq.d + 2, _walk(seq.coeffs, seq.d), seq.quadrature_order,
+                              source="recursion")
+
+
+def _walk(b: np.ndarray, d: int) -> np.ndarray:
+    """``walk_d_to_d2`` on arrays: b_{n,d+2} for n <= b.size - 3 from b_{n,d}, n < b.size."""
+    n_out = b.size - 3
     n = np.arange(1, n_out + 1)
     out = np.empty(n_out + 1)
     out[0] = b[0] - 2 / (d * (d + 3)) * b[2]
     out[1:] = (n + d - 1) * (n + d) / (d * (2 * n + d - 1)) * b[1 : n_out + 1]
     out[1:] -= (n + 1) * (n + 2) / (d * (2 * n + d + 3)) * b[3 : n_out + 3]
-    return SchoenbergSequence(d + 2, out, seq.quadrature_order, source="recursion")
+    return out
 
 
 # --------------------------------------------------------------------------

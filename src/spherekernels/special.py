@@ -17,10 +17,10 @@ S_{n+1} = (2x) S_n - beta_n S_{n-1} with R_n = s_n S_n, one product and one
 BLAS axpy per row; s_n is a product of at most 32 factors in [1/2, 1], so
 it neither underflows nor overflows, and at lambda = 0 it is exactly 1.
 Callers consume a block whole: the (n + 1) x len(x) table, a
-reconstruction (every d), or a Schoenberg projection at d = 2, 4 and
-d >= 6 (two strided matrix-vector products per block, one on its even
-rows and one on its odd rows).  The projections at d = 1, 3 and 5 sum
-trigonometric moments instead, in ``schoenberg``.
+reconstruction (every d), or a Schoenberg projection at d >= 6 (two
+strided matrix-vector products per block, one on its even rows and one on
+its odd rows).  ``schoenberg`` projects d = 1 and 2 from trigonometric
+moments instead, and walks them up to d = 3, 4 and 5.
 
 ``gauss_legendre(m)`` is the one Gauss-Legendre builder; ``schoenberg``'s theta rule uses it.
 

@@ -311,11 +311,26 @@ def test_validity_table(name, params, max_valid_d, strict):
         # a subnormal shape: Gamma(nu) overflows, and dagum's alpha/tau rounds to 0
         ("matern", {"c": 1.0, "nu": 5e-324}),
         ("dagum", {"c": 1.0, "tau": 2.0, "alpha": 1e-310}),
+        # K_nu overflows at matern's floor t = 1e-14 from nu = 20.1 on
+        ("matern", {"c": 3.0, "nu": 21.0}),
+        ("matern", {"c": 1.0, "nu": 20.1}),
     ],
 )
 def test_specs_outside_the_parameter_domains_are_refused(name, params):
-    with pytest.raises(ParameterError, match=r"must lie in (\(0, inf\), not subnormal|\[0, 1\))"):
+    domains = r"must lie in (\(0, inf\), not subnormal|\(0, 20\], not subnormal|\[0, 1\))"
+    with pytest.raises(ParameterError, match=domains):
         kernel(name, **params)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 3.0, 1e6])
+def test_matern_is_finite_at_the_largest_nu(c):
+    # K_20 at the floor t = 1e-14 is 6.4e302; just above it psi is 1 to double precision
+    spec = kernel("matern", c=c, nu=20.0)
+    vals = evaluate(spec, np.linspace(0.0, math.pi, 513))
+    assert np.all(np.isfinite(vals)) and vals[0] == 1.0
+    near_floor = evaluate(spec, c * np.array([1e-14, 1.0000001e-14, 2e-14, 1e-12]))
+    assert np.all(np.abs(near_floor - 1.0) < 1e-12)
+    assert membership(spec, 2, 200).verdict in ("PASS", "FAIL", "INCONCLUSIVE")
 
 
 _SCALES = st.sampled_from([-1.0, 0.0]) | st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
