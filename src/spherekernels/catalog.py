@@ -131,13 +131,19 @@ def _psi_powered_exponential(p, th):
 
 
 def _psi_matern(p, th):
-    t = th / p["c"]
+    t = np.asarray(th / p["c"])  # a new array, 0-d too, that the steps below may overwrite
     nu = p["nu"]
-    out = np.ones_like(t)
     big = t >= _MATERN_T_FLOOR
-    tb = t[big]
+    tb = t if big.all() else t[big]  # with no value below the floor, work on t itself
     np.minimum(tb, _MATERN_T_ZERO, out=tb)  # psi is exactly 0 from there on
-    out[big] = (2.0 ** (1.0 - nu) / math.gamma(nu)) * tb**nu * bessel_k(nu, tb)
+    k = bessel_k(nu, tb)
+    tb **= nu
+    tb *= 2.0 ** (1.0 - nu) / math.gamma(nu)
+    tb *= k
+    if tb is t:
+        return t
+    out = np.ones_like(t)
+    out[big] = tb
     return out
 
 
@@ -557,6 +563,8 @@ def validate_params(spec: KernelSpec, d) -> ValidityVerdict:
     ``d`` is a positive integer or ``math.inf``.  Validity is monotone:
     valid on S^d implies valid on every lower-dimensional sphere.
     """
+    if not isinstance(spec, KernelSpec):
+        raise DomainError(f"kernel must be a KernelSpec, got {type(spec)!r}")
     if d != math.inf:
         d = _check_count("sphere dimension", d, 1)
     fam = _FAMILIES[spec.family]
@@ -708,16 +716,35 @@ def breakpoints(spec: KernelSpec) -> tuple[float, ...]:
 def as_psi(kern) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]:
     """Coerce a KernelSpec or a callable psi(theta) to (psi, breakpoints).
 
-    The returned psi passes the finiteness gate ``_finite_psi``.  A callable
-    carries no breakpoints.  Anything else raises DomainError.
+    The returned psi passes the finiteness gate ``_finite_psi``, and a
+    callable's values the shape gate ``_elementwise``.  A callable carries
+    no breakpoints.  Anything else raises DomainError.
     """
     if isinstance(kern, KernelSpec):
         raw, breaks = (lambda th: evaluate(kern, th)), breakpoints(kern)
     elif callable(kern):
-        raw, breaks = (lambda th: np.asarray(kern(th), dtype=float)), ()
+        raw, breaks = _elementwise(kern, "psi", "theta"), ()
     else:
         raise DomainError(f"kernel must be a KernelSpec or a callable, got {type(kern)!r}")
     return (lambda th: _finite_psi(raw, th)), breaks
+
+
+def _elementwise(f, quantity: str, arg: str) -> Callable[[np.ndarray], np.ndarray]:
+    """The shape gate of a user callable: x -> f(x) as floats of x's shape.
+
+    A scalar value is broadcast to x's shape; any other shape raises
+    DomainError naming the function as ``quantity``, its argument as ``arg``
+    and both shapes.
+    """
+    def call(x):
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape == np.shape(x):
+            return vals
+        if vals.ndim == 0:
+            return np.full(np.shape(x), vals)
+        raise DomainError(f"{quantity} returned shape {vals.shape} for {arg} of shape {np.shape(x)}")
+
+    return call
 
 
 def _finite_psi(psi, theta: np.ndarray, quantity: str = "psi", arg: str = "theta") -> np.ndarray:

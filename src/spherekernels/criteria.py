@@ -140,8 +140,8 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, d
         scale = kern.params.get("c", 1.0)
         fd_based = order > 1 and not catalog.has_analytic_derivatives(kern)
     elif callable(kern) and dphi is not None:
-        phi = lambda t: np.asarray(kern(t), dtype=float)
-        d1 = lambda t: np.asarray(dphi(t), dtype=float)
+        phi = catalog._elementwise(kern, "phi", "t")
+        d1 = catalog._elementwise(dphi, "dphi", "t")
         deriv = lambda t: catalog._derivative_from_first(d1, t, order)
         scale = None
         fd_based = order > 1
@@ -150,17 +150,17 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, d
             "kernel must be a KernelSpec, or a callable profile phi(t) with its "
             "first derivative passed as dphi="
         )
-    if not abs(float(np.atleast_1d(phi(np.array([0.0])))[0]) - 1.0) <= 1e-12:
+    if not abs(float(phi(np.array([0.0]))[0]) - 1.0) <= 1e-12:
         raise DomainError("profile must satisfy phi(0) = 1 within 1e-12")
     if horizon is not None and not 0 < horizon < math.inf:
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     T = horizon if horizon is not None else 50.0 * (scale or 2.0)
-    limit_val = float(np.atleast_1d(phi(np.array([T])))[0])
+    limit_val = float(phi(np.array([T]))[0])
     limit_ok = abs(limit_val) < 1e-6
 
     sign = (-1.0) ** order
     warp = np.sqrt if squared else (lambda t: t)
-    g = lambda t: sign * np.asarray(deriv(warp(t)), dtype=float)
+    g = lambda t: sign * deriv(warp(t))
     start = math.log10(_FD_GRID_START) if fd_based else -6.0
     span = (2.0 if squared else 1.0) * math.log10(T)
     t_grid = np.logspace(start, span, grid_size)

@@ -199,7 +199,12 @@ def bessel_k(nu: float, t):
             s = coeffs[-1]
             for b in reversed(coeffs[:-1]):  # Horner's rule in 1/t
                 s = s / arr + b
-            out = np.sqrt(np.pi / (2.0 * arr)) * np.exp(-arr) * s
+            out = np.multiply(arr, 2.0, out=np.empty_like(arr))  # out=: an array at 0-d too
+            np.divide(np.pi, out, out=out)
+            np.sqrt(out, out=out)
+            e = np.negative(arr, out=np.empty_like(arr))
+            out *= np.exp(e, out=e)
+            out *= s
     else:
         out = _sp.kv(nu, arr)
     if not np.all(np.isfinite(out)):

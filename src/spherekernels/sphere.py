@@ -8,12 +8,12 @@ positive definiteness, never a certificate.
 Kernel matrices are evaluated in row blocks of about ``_BLOCK_ENTRIES``
 entries (``_row_blocks``), so the temporaries of a kernel evaluation stay a
 few MB however many points there are.  A Gram matrix is symmetric, so psi is
-evaluated on its lower triangle, about once per pair of points.  The same
-psi blocks fill either the full matrix, mirrored into the upper triangle,
-for the eigensolver of ``gram_report``, or the lower triangle alone in
-LAPACK's rectangular full packed storage, N(N+1)/2 doubles, for the
-Cholesky factorizations of ``apps``; this module is the only one that
-knows where the packed layout puts an entry.
+evaluated on its lower triangle, about once per pair of points, and both
+Gram consumers hold only that triangle: ``gram_report`` in full storage,
+whose upper triangle ``numpy.linalg.eigvalsh`` never reads, and the
+Cholesky factorizations of ``apps`` in LAPACK's rectangular full packed
+storage, N(N+1)/2 doubles; this module is the only one that knows where
+the packed layout puts an entry.
 
 ``scipy.spatial`` (``cKDTree`` for the duplicate check, ``cdist`` for the
 distances) is imported by the first point set or distance, not with the
@@ -188,22 +188,6 @@ def _gram_blocks(kern, pts: SpherePointSet) -> Iterator[tuple[int, int, np.ndarr
         yield rows.start, min(rows.stop, n), psi(theta)
 
 
-def _gram_matrix(kern, pts: SpherePointSet) -> np.ndarray:
-    """K_ij = psi(theta_ij) in full storage, about one psi value per pair of points.
-
-    The part of each row block left of its diagonal square is mirrored into
-    the columns above it, so psi sees about N^2 / 2 angles.  For a psi that
-    acts entry by entry the result equals psi(pairwise_angles(x, x)) bit for
-    bit and is exactly symmetric, because the distances are; only the N x N
-    result is held at full size.
-    """
-    K = np.empty((pts.n_points, pts.n_points))
-    for a, b, vals in _gram_blocks(kern, pts):
-        K[a:b, :b] = vals
-        K[:a, a:b] = vals[:, :a].T
-    return K
-
-
 # LAPACK's rectangular full packed (RFP) storage of a lower triangle, not
 # transposed (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010).
 # With q = ceil(n/2) and s = 1 for even n, else 0, it is a C-order (q, n + s)
@@ -221,8 +205,8 @@ def _packed_shape(n: int) -> tuple[int, int]:
 def _gram_packed(kern, pts: SpherePointSet) -> np.ndarray:
     """The lower triangle of K_ij = psi(theta_ij) in RFP storage, as one flat array.
 
-    Built from the same psi blocks as ``_gram_matrix``, so it equals LAPACK's
-    ``dtrttf`` of that full matrix bit for bit; it holds N(N+1)/2 doubles.
+    Built from the psi blocks of ``gram_report``, so it equals LAPACK's
+    ``dtrttf`` of psi(pairwise_angles(x, x)) bit for bit; it holds N(N+1)/2 doubles.
     """
     n = pts.n_points
     q, s = _packed_shape(n)
@@ -284,12 +268,15 @@ def gram_report(kern, pts: SpherePointSet, tol: float = 1e-8) -> GramReport:
     """Assemble K_ij = psi(theta_ij) and judge positive semidefiniteness.
 
     The verdict is min_eigenvalue >= -tol * n_points, which absorbs the
-    growth of symmetric-eigensolver backward error with matrix size.  K is
-    held in full storage, which ``numpy.linalg.eigvalsh`` takes; a psi
-    value that is not finite raises DomainError.
+    growth of symmetric-eigensolver backward error with matrix size.  Only
+    the lower triangle of K is filled, in full storage; a psi value that is
+    not finite raises DomainError.
     """
     tol = _check_tolerance("tol", tol)
-    eigvals = np.linalg.eigvalsh(_gram_matrix(kern, pts))
+    K = np.empty((pts.n_points, pts.n_points))
+    for a, b, vals in _gram_blocks(kern, pts):
+        K[a:b, :b] = vals
+    eigvals = np.linalg.eigvalsh(K)  # UPLO="L": the entries above the diagonal are never read
     lo, hi = float(eigvals[0]), float(eigvals[-1])
     return GramReport(
         n_points=pts.n_points,

@@ -6,7 +6,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import binom, eval_gegenbauer, gammaln, gammasgn
 
-from spherekernels import kernel
+from spherekernels import catalog, kernel
+from spherekernels.sphere import pairwise_angles
 
 # One spec per family at catalog defaults.
 DEFAULT_SPECS = [kernel(name) for name in (
@@ -210,3 +211,9 @@ def legendre_from_fourier(b, n_out, k_tail):
     diff[0] += b[0]
     terms = sliding_window_view(diff, 2 * k_tail + 1)[:, ::2]  # [n, k] at n + 2k
     return 0.5 * np.einsum("nk,nk->n", np.exp(log_c), terms)
+
+
+def full_gram(kern, pts):
+    """The reference Gram matrix: the psi of ``catalog.as_psi`` on every pair of points."""
+    psi, _ = catalog.as_psi(kern)
+    return psi(pairwise_angles(pts.points, pts.points))

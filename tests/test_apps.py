@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import STRICT_DEFAULT_SPECS
+from conftest import STRICT_DEFAULT_SPECS, full_gram
 
 from spherekernels import (
     apps,
@@ -24,7 +24,7 @@ from spherekernels import (
 from spherekernels.catalog import evaluate
 from spherekernels.apps import JITTER_LADDER, _chol_with_jitter
 from spherekernels.errors import DomainError, FactorizationError, ParameterError
-from spherekernels.sphere import _gram_matrix, _gram_packed, pairwise_angles
+from spherekernels.sphere import _gram_packed, pairwise_angles
 
 
 def _height_data(pts):
@@ -207,7 +207,7 @@ def builds(monkeypatch):
 
 @pytest.mark.parametrize("scale", [1.0, 4.0])
 def test_singular_gram_takes_the_first_nonzero_rung(scale):
-    K = _gram_matrix(_shifted_cosine(scale), _EQUATOR)
+    K = full_gram(_shifted_cosine(scale), _EQUATOR)
     F, jitter = _chol_with_jitter(_shifted_cosine(scale), _EQUATOR)
     assert jitter == JITTER_LADDER[1] * np.mean(np.diag(K))
     want, info = scipy.linalg.lapack.dpftrf(3, _pack(K + jitter * np.eye(3)), transr="N", uplo="L")
@@ -219,7 +219,7 @@ def test_singular_gram_takes_the_first_nonzero_rung(scale):
 def test_a_gram_singular_up_to_rounding_is_factored_on_some_rung():
     # cosine on three equator points is singular only up to rounding, so which rung
     # succeeds is a property of the LAPACK routine, not of K; the factor is exact either way
-    K = _gram_matrix(kernel("cosine"), _EQUATOR)
+    K = full_gram(kernel("cosine"), _EQUATOR)
     F, jitter = _chol_with_jitter(kernel("cosine"), _EQUATOR)
     assert jitter in [level * np.mean(np.diag(K)) for level in JITTER_LADDER]
     L = _unpack(F, 3)
@@ -232,7 +232,7 @@ def test_simulate_records_the_jitter_used():
 
 
 def test_each_jitter_rung_starts_from_the_unmodified_gram(monkeypatch):
-    K = _gram_matrix(_shifted_cosine(1.0), _EQUATOR)
+    K = full_gram(_shifted_cosine(1.0), _EQUATOR)
     factored = []
     dpftrf = scipy.linalg.lapack.dpftrf
 
@@ -261,7 +261,7 @@ def test_the_factor_is_the_memory_of_the_gram_it_was_built_in(builds, ridge):
     F, jitter = _chol_with_jitter(kernel("matern"), pts, ridge)
     assert jitter == 0.0 and len(builds) == 1  # K is built once when rung 0 succeeds
     assert np.shares_memory(F, builds[0]) and F.size == 40 * 41 // 2
-    K = _gram_matrix(kernel("matern"), pts) + ridge * np.eye(40)
+    K = full_gram(kernel("matern"), pts) + ridge * np.eye(40)
     want, info = scipy.linalg.lapack.dpftrf(40, _pack(K), transr="N", uplo="L")
     assert info == 0 and np.array_equal(F, want)
 
@@ -276,7 +276,7 @@ def test_a_jitter_rung_factors_the_gram_it_rebuilt(builds):
 def test_packed_solve_and_draws_are_the_dense_ones(n):
     pts = sample_points(2, n, seed=n)
     spec = kernel("matern", c=0.8)
-    K = _gram_matrix(spec, pts)
+    K = full_gram(spec, pts)
     L = scipy.linalg.cholesky(K, lower=True)
     data = np.sin(3 * pts.points[:, 0])
     w = interpolate_fit(spec, pts, data).weights

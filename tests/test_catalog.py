@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -452,6 +453,42 @@ def test_breakpoints():
 def test_non_callable_kernel_is_a_domain_error(call):
     with pytest.raises(DomainError):
         call("matern")
+
+
+# Each kind of user callable, through a call that evaluates it on arrays
+_CALLABLE_USES = {
+    "gram_report": lambda f: gram_report(f, sample_points(2, 5, seed=0)),
+    "membership": lambda f: membership(f, 2, 50),
+    "polya_circle": lambda f: polya_circle(f),
+    "polya_s3-phi": lambda f: polya_s3(f, dphi=lambda t: -np.exp(-t)),
+    "polya_s3-dphi": lambda f: polya_s3(lambda t: np.exp(-t), dphi=lambda t: -f(t)),
+    "polya_2n1-dphi": lambda f: polya_2n1(lambda t: np.exp(-t), 2, dphi=lambda t: -f(t)),
+}
+
+
+@pytest.mark.parametrize("use", list(_CALLABLE_USES.values()), ids=list(_CALLABLE_USES))
+def test_a_scalar_callable_value_is_broadcast_to_its_argument(use):
+    assert pickle.dumps(use(lambda t: 1.0)) == pickle.dumps(use(lambda t: np.ones_like(t)))
+
+
+@pytest.mark.parametrize("use", list(_CALLABLE_USES.values()), ids=list(_CALLABLE_USES))
+def test_a_callable_value_of_another_shape_is_a_domain_error(use):
+    with pytest.raises(DomainError, match=r"returned shape \(3,\) for (theta|t) of shape \(\d"):
+        use(lambda t: np.ones(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: validate_params(k, 2),
+        lambda k: simulate(k, sample_points(2, 5, seed=0), 2),
+        lambda k: interpolate_fit(k, sample_points(2, 5, seed=0), np.zeros(5)),
+    ],
+    ids=["validate_params", "simulate", "interpolate_fit"],
+)
+def test_a_callable_where_a_kernel_spec_is_required_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="must be a KernelSpec, got <class 'function'>"):
+        call(lambda theta: np.cos(theta))
 
 
 _MATERN = kernel("matern", c=0.3, nu=0.5)
