@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Mapping
 
 import numpy as np
@@ -296,22 +297,34 @@ def _dnphi_askey(p, t, order):
 
 # --- validity classification -------------------------------------------------
 
-def _classify_powered_exponential(p):
-    if p["alpha"] <= 1:
-        return math.inf, True, "alpha in (0,1] gives a completely monotone profile"
-    return 0.0, False, f"alpha={p['alpha']:g} outside (0,1]: not positive definite on any sphere"
+def _completely_monotone(name: str, bound: float):
+    """Rule of a profile that is completely monotone for ``name`` in (0, bound]:
+    strict on every sphere there, and not positive definite on any sphere past it."""
+    span = f"(0,{Fraction(bound)}]"
+
+    def classify(p):
+        if p[name] <= bound:
+            return math.inf, True, f"{name} in {span} gives a completely monotone profile"
+        return 0.0, False, f"{name}={p[name]:g} outside {span}: not positive definite on any sphere"
+
+    return classify
 
 
-def _classify_matern(p):
-    if p["nu"] <= 0.5:
-        return math.inf, True, "nu in (0,1/2] gives a completely monotone profile"
-    return 0.0, False, f"nu={p['nu']:g} > 1/2: not positive definite on any sphere"
+def _support_condition(min_tau: float = 0.0, c_max: float = math.inf):
+    """Rule of an R^3 profile under the support condition: strict with great circle
+    distance for d <= 3 when tau >= min_tau and c <= c_max (pi or inf), else not
+    guaranteed.  c is checked first."""
+    scale = "c in (0,pi]" if c_max < math.inf else "c > 0"
+    shape = f"tau >= {min_tau:g} and " if min_tau else ""
 
+    def classify(p):
+        if p["c"] > c_max:
+            return 0.0, False, "support scale must lie in (0, pi]"
+        if p.get("tau", math.inf) < min_tau:
+            return 0.0, False, f"requires tau >= {min_tau:g}"
+        return 3.0, True, f"{shape}{scale}: valid with great circle distance for d <= 3"
 
-def _classify_generalized_cauchy(p):
-    if p["alpha"] <= 1:
-        return math.inf, True, "alpha in (0,1] gives a completely monotone profile"
-    return 0.0, False, f"alpha={p['alpha']:g} outside (0,1]: not positive definite on any sphere"
+    return classify
 
 
 def _classify_dagum(p):
@@ -333,33 +346,6 @@ def _classify_sine_power(p):
     if a == 2:
         return math.inf, False, "alpha = 2 equals (1+cos theta)/2: positive definite, not strictly"
     return 0.0, False, f"alpha={a:g} outside (0,2]: not positive definite on any sphere"
-
-
-def _classify_spherical(p):
-    return 3.0, True, "valid with great circle distance for every support c > 0, d <= 3"
-
-
-def _classify_askey(p):
-    if p["tau"] >= 2:
-        return 3.0, True, "tau >= 2 valid with great circle distance for every c > 0, d <= 3"
-    return 0.0, False, "requires tau >= 2"
-
-
-def _classify_wendland(min_tau):
-    def classify(p):
-        if p["c"] > math.pi:
-            return 0.0, False, "support scale must lie in (0, pi]"
-        if p["tau"] >= min_tau:
-            return 3.0, True, f"tau >= {min_tau} and c in (0,pi]: valid for d <= 3"
-        return 0.0, False, f"requires tau >= {min_tau}"
-
-    return classify
-
-
-def _classify_gaspari_cohn(p):
-    if p["c"] <= math.pi:
-        return 3.0, True, "compactly supported profile valid with great circle distance, d <= 3"
-    return 0.0, False, "support scale must lie in (0, pi]"
 
 
 def _classify_cosine(p):
@@ -387,7 +373,7 @@ _FAMILIES: dict[str, _Family] = {
         psi=_psi_powered_exponential,
         dphi=_dphi_powered_exponential,
         fractal=lambda p: p["alpha"],
-        classify=_classify_powered_exponential,
+        classify=_completely_monotone("alpha", 1.0),
     ),
     "matern": _Family(
         defaults={"c": 1.0, "nu": 0.5},
@@ -396,7 +382,7 @@ _FAMILIES: dict[str, _Family] = {
         psi=_psi_matern,
         dphi=_dphi_matern,
         fractal=lambda p: min(2.0 * p["nu"], 2.0),
-        classify=_classify_matern,
+        classify=_completely_monotone("nu", 0.5),
     ),
     "generalized_cauchy": _Family(
         defaults={"c": 1.0, "alpha": 1.0, "tau": 2.0},
@@ -405,7 +391,7 @@ _FAMILIES: dict[str, _Family] = {
         psi=_psi_generalized_cauchy,
         dphi=_dphi_generalized_cauchy,
         fractal=lambda p: p["alpha"],
-        classify=_classify_generalized_cauchy,
+        classify=_completely_monotone("alpha", 1.0),
     ),
     "dagum": _Family(
         defaults={"c": 1.0, "tau": 1.0, "alpha": 0.5},
@@ -438,7 +424,7 @@ _FAMILIES: dict[str, _Family] = {
         psi=_psi_spherical,
         dphi=_dphi_spherical,
         fractal=lambda p: 1.0,
-        classify=_classify_spherical,
+        classify=_support_condition(),
         breaks=_breaks_support,
         smooth_order=lambda p: 1.0,
     ),
@@ -449,7 +435,7 @@ _FAMILIES: dict[str, _Family] = {
         psi=_psi_askey,
         dnphi=_dnphi_askey,
         fractal=lambda p: 1.0,
-        classify=_classify_askey,
+        classify=_support_condition(min_tau=2.0),
         breaks=_breaks_support,
         smooth_order=_truncation_smoothness,
     ),
@@ -460,7 +446,7 @@ _FAMILIES: dict[str, _Family] = {
         psi=_psi_wendland_c2,
         dphi=_dphi_wendland_c2,
         fractal=lambda p: 2.0,
-        classify=_classify_wendland(4.0),
+        classify=_support_condition(min_tau=4.0, c_max=math.pi),
         breaks=_breaks_support,
         smooth_order=_truncation_smoothness,
     ),
@@ -471,7 +457,7 @@ _FAMILIES: dict[str, _Family] = {
         psi=_psi_wendland_c4,
         dphi=_dphi_wendland_c4,
         fractal=lambda p: 2.0,
-        classify=_classify_wendland(6.0),
+        classify=_support_condition(min_tau=6.0, c_max=math.pi),
         breaks=_breaks_support,
         smooth_order=_truncation_smoothness,
     ),
@@ -481,7 +467,7 @@ _FAMILIES: dict[str, _Family] = {
         rule="c in (0,pi]; dimensions d <= 3, strict",
         psi=_psi_gaspari_cohn,
         dphi=_dphi_gaspari_cohn,
-        classify=_classify_gaspari_cohn,
+        classify=_support_condition(c_max=math.pi),
         breaks=_breaks_gaspari_cohn,
         smooth_order=lambda p: 3.0,
     ),
@@ -732,12 +718,15 @@ def as_psi(kern) -> tuple[Callable[[np.ndarray], np.ndarray], tuple[float, ...]]
 def _elementwise(f, quantity: str, arg: str) -> Callable[[np.ndarray], np.ndarray]:
     """The shape gate of a user callable: x -> f(x) as floats of x's shape.
 
-    A scalar value is broadcast to x's shape; any other shape raises
-    DomainError naming the function as ``quantity``, its argument as ``arg``
-    and both shapes.
+    A scalar value is broadcast to x's shape; any other shape, or a complex
+    value, raises DomainError naming the function as ``quantity`` and its
+    argument as ``arg`` (and both shapes).
     """
     def call(x):
-        vals = np.asarray(f(x), dtype=float)
+        vals = f(x)
+        if np.iscomplexobj(vals):
+            raise DomainError(f"{quantity} returned complex values for {arg}; it must be real")
+        vals = np.asarray(vals, dtype=float)
         if vals.shape == np.shape(x):
             return vals
         if vals.ndim == 0:

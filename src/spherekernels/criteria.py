@@ -15,8 +15,8 @@ for positive definiteness on a finite grid:
 
 The profile checkers take a KernelSpec with a Euclidean profile, or a
 callable profile phi(t) together with its first derivative as ``dphi=``;
-a callable without ``dphi`` is rejected.  Derivatives of order 2 and 3
-that have no closed form come from one finite-difference rule on phi'
+a callable without a callable ``dphi`` is rejected.  Derivatives of order
+2 and 3 that have no closed form come from one finite-difference rule on phi'
 (``catalog.euclid_derivative``: step 1e-3 * max(1, t), forward near 0).
 ``polya_circle`` integrates psi on the same graded theta rule as the
 Schoenberg coefficients.
@@ -139,7 +139,7 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, d
         deriv = lambda t: catalog.euclid_derivative(kern, t, order)
         scale = kern.params.get("c", 1.0)
         fd_based = order > 1 and not catalog.has_analytic_derivatives(kern)
-    elif callable(kern) and dphi is not None:
+    elif callable(kern) and callable(dphi):
         phi = catalog._elementwise(kern, "phi", "t")
         d1 = catalog._elementwise(dphi, "dphi", "t")
         deriv = lambda t: catalog._derivative_from_first(d1, t, order)
@@ -150,12 +150,13 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, d
             "kernel must be a KernelSpec, or a callable profile phi(t) with its "
             "first derivative passed as dphi="
         )
-    if not abs(float(phi(np.array([0.0]))[0]) - 1.0) <= 1e-12:
+    phi_at = lambda t: float(catalog._finite_psi(phi, np.array([t]), "phi", "t")[0])
+    if not abs(phi_at(0.0) - 1.0) <= 1e-12:
         raise DomainError("profile must satisfy phi(0) = 1 within 1e-12")
     if horizon is not None and not 0 < horizon < math.inf:
         raise DomainError(f"horizon must be finite and > 0, got {horizon}")
     T = horizon if horizon is not None else 50.0 * (scale or 2.0)
-    limit_val = float(phi(np.array([T]))[0])
+    limit_val = phi_at(T)
     limit_ok = abs(limit_val) < 1e-6
 
     sign = (-1.0) ** order
@@ -190,8 +191,9 @@ def polya_s3(
 
     ``kern`` is a KernelSpec with a Euclidean profile, or a callable
     profile phi(t) together with its first derivative ``dphi``; a callable
-    without ``dphi`` raises DomainError.  YES implies the restriction of phi
-    to [0, pi] is strictly positive definite on spheres up to dimension 3.
+    without a callable ``dphi`` raises DomainError, as does a non-finite
+    phi(0) or phi(T).  YES implies the restriction of phi to [0, pi] is
+    strictly positive definite on spheres up to dimension 3.
     The decay hypothesis is asymptotic; it is tested as |phi(T)| < 1e-6 at
     T = horizon (finite and > 0; default 50 * scale when the spec carries a
     scale, else 100), and a profile that fails only this test is INCONCLUSIVE.
@@ -212,10 +214,10 @@ def polya_2n1(
 
     ``kern`` is a KernelSpec with a Euclidean profile, or a callable
     profile phi(t) together with its first derivative ``dphi``; a callable
-    without ``dphi`` raises DomainError.  Orders n >= 2 without a closed
-    form are differences of phi' with step 1e-3 * max(1, t).  YES implies
-    the restriction of phi to [0, pi] is strictly positive definite on
-    spheres up to dimension 2n + 1.  Orders n > 3 are rejected; whether
+    without a callable ``dphi`` raises DomainError.  Orders n >= 2 without
+    a closed form are differences of phi' with step 1e-3 * max(1, t).  YES
+    implies the restriction of phi to [0, pi] is strictly positive definite
+    on spheres up to dimension 2n + 1.  Orders n > 3 are rejected; whether
     the criterion extends to them is an open question.
     """
     n = _check_count("order n", n, 1)

@@ -5,6 +5,7 @@ import io
 import math
 import os
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -281,6 +282,20 @@ def test_validation_spec_examples():
         ("gaspari_cohn", {"c": math.pi}, 3, True),
         ("gaspari_cohn", {"c": 3.5}, 0, False),
         ("cosine", {}, math.inf, False),
+        # each boundary, and just past it
+        ("powered_exponential", {"c": 2.0, "alpha": 1.0 + 1e-9}, 0, False),
+        ("matern", {"c": 1.0, "nu": 0.5 + 1e-9}, 0, False),
+        ("generalized_cauchy", {"c": 1.0, "alpha": 1.0 + 1e-9, "tau": 1.0}, 0, False),
+        ("dagum", {"c": 1.0, "tau": 1.0 + 1e-9, "alpha": 0.5}, 0, False),
+        ("multiquadric", {"tau": 2.0, "delta": 5e-324}, math.inf, True),
+        ("sine_power", {"alpha": 2.0 + 1e-9}, 0, False),
+        ("spherical", {"c": 1e-3}, 3, True),
+        ("askey", {"c": 1.0, "tau": 2.0 - 1e-9}, 0, False),
+        ("wendland_c2", {"c": 2.0, "tau": 3.9}, 0, False),
+        ("wendland_c2", {"c": math.pi + 1e-9, "tau": 4.0}, 0, False),
+        ("wendland_c4", {"c": math.pi, "tau": 6.0}, 3, True),
+        ("wendland_c4", {"c": 3.2, "tau": 6.0}, 0, False),
+        ("gaspari_cohn", {"c": math.pi + 1e-9}, 0, False),
     ],
 )
 def test_validity_table(name, params, max_valid_d, strict):
@@ -380,6 +395,47 @@ def test_psi_is_finite_at_the_smallest_scales(name, shape, c):
         assert np.all(vals[1:] == 0.0)
 
 
+_PROVED_INVALID = [
+    ("powered_exponential", {"alpha": 1.0 + 1e-9}),
+    ("powered_exponential", {"alpha": 2.0}),
+    ("generalized_cauchy", {"alpha": 1.5}),
+    ("matern", {"nu": 0.5 + 1e-9}),
+    ("matern", {"nu": 2.5}),
+    ("sine_power", {"alpha": 2.0 + 1e-9}),
+]
+_NOT_GUARANTEED = [
+    ("dagum", {"tau": 1.5, "alpha": 0.5}),
+    ("dagum", {"tau": 1.0, "alpha": 1.0}),
+    ("askey", {"tau": 1.5}),
+    ("wendland_c2", {"tau": 3.9}),
+    ("wendland_c2", {"c": 3.2}),
+    ("wendland_c4", {"c": 3.2, "tau": 5.0}),
+    ("gaspari_cohn", {"c": 3.2}),
+]
+_ANY_SPHERE = "not positive definite on any sphere"
+
+
+@pytest.mark.parametrize("d", [1, 3, 4, math.inf])
+def test_only_the_proved_invalid_branches_say_not_positive_definite_on_any_sphere(d):
+    for name, params in _PROVED_INVALID:
+        verdict = validate_params(kernel(name, **params), d)
+        assert not verdict.valid
+        assert re.fullmatch(rf"(alpha|nu)=\S+ outside \(0,(1|1/2|2)\]: {_ANY_SPHERE}", verdict.reason)
+    for name, params in _NOT_GUARANTEED:
+        verdict = validate_params(kernel(name, **params), d)
+        assert not verdict.valid and _ANY_SPHERE not in verdict.reason
+    for spec in _all_in_range_specs():
+        verdict = validate_params(spec, d)
+        assert verdict.valid or _ANY_SPHERE not in verdict.reason
+        if d > 3 and not verdict.valid:  # the support condition holds, but only up to S^3
+            assert verdict.reason == f"guaranteed only for d <= 3, requested d={d}"
+
+
+def test_the_support_condition_checks_c_before_tau():
+    verdict = validate_params(kernel("wendland_c2", c=3.2, tau=3.9), 1)
+    assert verdict.reason == "support scale must lie in (0, pi]"
+
+
 def test_validity_monotone_in_dimension():
     for spec in _all_in_range_specs():
         flags = [validate_params(spec, d).valid for d in (1, 2, 3, 4, 5, math.inf)]
@@ -475,6 +531,13 @@ def test_a_scalar_callable_value_is_broadcast_to_its_argument(use):
 def test_a_callable_value_of_another_shape_is_a_domain_error(use):
     with pytest.raises(DomainError, match=r"returned shape \(3,\) for (theta|t) of shape \(\d"):
         use(lambda t: np.ones(3))
+
+
+@pytest.mark.parametrize("use", list(_CALLABLE_USES.values()), ids=list(_CALLABLE_USES))
+def test_a_complex_callable_value_is_a_domain_error(use):
+    # a zero imaginary part too: a psi must be real, not cast to its real part
+    with pytest.raises(DomainError, match=r"returned complex values for (theta|t); it must be real"):
+        use(lambda t: np.exp(-np.asarray(t)) + 0j)
 
 
 @pytest.mark.parametrize(

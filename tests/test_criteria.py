@@ -155,8 +155,20 @@ def test_profile_callable_needs_dphi(check):
         check(lambda t: np.exp(-t))
 
 
+@pytest.mark.parametrize(
+    "check", [polya_s3, lambda k, **kw: polya_2n1(k, 2, **kw)], ids=["polya_s3", "polya_2n1"]
+)
+def test_profile_callable_needs_a_callable_dphi(check):
+    with pytest.raises(DomainError, match="first derivative passed as dphi="):
+        check(lambda t: np.exp(-t), dphi=-1.0)
+
+
 def _nan_past(t):  # exp(-t), NaN beyond 1e-3: inside every grid of the checks below
     return np.where(t > 1e-3, math.nan, np.exp(-t))
+
+
+def _nan_past_50(t):  # exp(-t), NaN beyond t = 50: finite at 0, NaN at the horizon T = 100
+    return np.where(t > 50.0, math.nan, np.exp(-t))
 
 
 _NON_FINITE = {
@@ -172,6 +184,11 @@ _NON_FINITE = {
                     r"phi''\(t\) is not finite at t = 0\.01: nan"),
     "polya_2n1-3": (lambda: polya_2n1(lambda t: np.exp(-t), 3, dphi=_nan_past),
                     r"-phi'''\(t\) is not finite at t = 0\.01: nan"),
+    # phi itself is read only at 0 and at the horizon, T = 100 for a callable
+    "polya_s3-horizon": (lambda: polya_s3(_nan_past_50, dphi=lambda t: -np.exp(-t)),
+                         r"phi is not finite at t = 100\.0: nan"),
+    "polya_2n1-horizon": (lambda: polya_2n1(_nan_past_50, 1, dphi=lambda t: -np.exp(-t)),
+                          r"phi is not finite at t = 100\.0: nan"),
     "estimate_fractal_index": (lambda: estimate_fractal_index(_nan_past),
                                r"psi is not finite at theta = 0\.0011288\d*: nan"),
 }
