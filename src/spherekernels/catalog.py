@@ -58,6 +58,12 @@ _DOMAINS["nu"] = ("(0, 20], not subnormal", lambda v: _TINY <= v <= _MATERN_NU_M
 _DOMAINS["delta"] = ("[0, 1)", lambda v: 0 <= v < 1)
 
 
+def _num(v: float) -> str:
+    """v with ``:g`` where that reads back as the same float, else its ``repr``."""
+    short = f"{v:g}"
+    return short if float(short) == v else repr(v)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel family name plus its named parameters.
@@ -90,7 +96,7 @@ class KernelSpec:
     def __str__(self) -> str:
         if not self.params:
             return self.family
-        inner = ",".join(f"{k}={v:g}" for k, v in sorted(self.params.items()))
+        inner = ",".join(f"{k}={_num(v)}" for k, v in sorted(self.params.items()))
         return f"{self.family}:{inner}"
 
 
@@ -118,10 +124,6 @@ class _Family:
     breaks: Callable[[dict], tuple[float, ...]] = lambda p: ()
     # largest order whose classical derivative exists everywhere on (0, inf)
     smooth_order: Callable[[dict], float] = lambda p: math.inf
-
-
-def _pos(t: np.ndarray) -> np.ndarray:
-    return np.maximum(t, 0.0)
 
 
 # --- closed forms (theta-argument) -----------------------------------------
@@ -168,9 +170,9 @@ def _psi_sine_power(p, th):
     return 1.0 - np.sin(th / 2.0) ** p["alpha"]
 
 
-# spherical, askey and the Wendland functions clip u = th/c at 1, the support's
-# edge: values inside are unchanged, psi is exactly 0 past it, and no power of u
-# overflows at a tiny c.
+# Compact profiles and first derivatives clip their argument at the support's edge
+# (u = th/c at 1; Gaspari-Cohn's t at 1, and at 1/2 in its inner piece): values inside
+# are unchanged, 0 past the edge is exact, and no power of u overflows at a tiny c.
 
 def _psi_spherical(p, th):
     u = np.minimum(th / p["c"], 1.0)
@@ -193,30 +195,20 @@ def _psi_wendland_c4(p, th):
 
 def _gc_profile(t: np.ndarray) -> np.ndarray:
     """Gaspari-Cohn fifth-order piecewise rational profile with support [0, 1]."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    lo = t <= 0.5
-    hi = (t > 0.5) & (t < 1.0)
-    tl = t[lo]
-    out[lo] = 1.0 - (20.0 / 3.0) * tl**2 + 5.0 * tl**3 + 8.0 * tl**4 - 8.0 * tl**5
-    th_ = t[hi]
-    out[hi] = (8.0 * th_**2 + 8.0 * th_ - 1.0) * (1.0 - th_) ** 4 / (3.0 * th_)
-    return out
+    lo, hi = np.minimum(t, 0.5), np.clip(t, 0.5, 1.0)
+    inner = 1.0 - (20.0 / 3.0) * lo**2 + 5.0 * lo**3 + 8.0 * lo**4 - 8.0 * lo**5
+    outer = (8.0 * hi**2 + 8.0 * hi - 1.0) * (1.0 - hi) ** 4 / (3.0 * hi)
+    return np.where(t <= 0.5, inner, outer)
 
 
 def _gc_profile_derivative(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    lo = t <= 0.5
-    hi = (t > 0.5) & (t < 1.0)
-    tl = t[lo]
-    out[lo] = -(40.0 / 3.0) * tl + 15.0 * tl**2 + 32.0 * tl**3 - 40.0 * tl**4
-    th_ = t[hi]
-    out[hi] = (
-        (8.0 + th_**-2) * (1.0 - th_) ** 4
-        - 4.0 * (8.0 * th_**2 + 8.0 * th_ - 1.0) * (1.0 - th_) ** 3 / th_
+    lo, hi = np.minimum(t, 0.5), np.clip(t, 0.5, 1.0)
+    inner = -(40.0 / 3.0) * lo + 15.0 * lo**2 + 32.0 * lo**3 - 40.0 * lo**4
+    outer = (
+        (8.0 + hi**-2) * (1.0 - hi) ** 4
+        - 4.0 * (8.0 * hi**2 + 8.0 * hi - 1.0) * (1.0 - hi) ** 3 / hi
     ) / 3.0
-    return out
+    return np.where(t <= 0.5, inner, outer)
 
 
 def _psi_gaspari_cohn(p, th):
@@ -264,7 +256,7 @@ def _dphi_spherical(p, t):
 def _dphi_wendland_c2(p, t):
     c, tau = p["c"], p["tau"]
     u = t / c
-    return -(tau * (tau + 1.0) / c) * u * _pos(1.0 - u) ** (tau - 1.0)
+    return -(tau * (tau + 1.0) / c) * u * (1.0 - np.minimum(u, 1.0)) ** (tau - 1.0)
 
 
 def _dphi_wendland_c4(p, t):
@@ -274,7 +266,7 @@ def _dphi_wendland_c4(p, t):
         -((tau + 1.0) * (tau + 2.0) / (3.0 * c))
         * u
         * (1.0 + (tau - 1.0) * u)
-        * _pos(1.0 - u) ** (tau - 1.0)
+        * (1.0 - np.minimum(u, 1.0)) ** (tau - 1.0)
     )
 
 
@@ -290,7 +282,9 @@ def _dnphi_askey(p, t, order):
         coeff *= tau - j
     u = np.asarray(t, dtype=float) / c
     out = np.zeros_like(u)
-    inside = u < 1.0  # classical piecewise derivative; 0 at and beyond the edge
+    # 0 at and past the edge by a mask, not a clip: at order >= tau the clipped
+    # (1 - u)^(tau - order) would read 0^0 = 1, or 0 to a negative power, there
+    inside = u < 1.0
     out[inside] = (-1.0 / c) ** order * coeff * (1.0 - u[inside]) ** (tau - order)
     return out
 
@@ -305,7 +299,7 @@ def _completely_monotone(name: str, bound: float):
     def classify(p):
         if p[name] <= bound:
             return math.inf, True, f"{name} in {span} gives a completely monotone profile"
-        return 0.0, False, f"{name}={p[name]:g} outside {span}: not positive definite on any sphere"
+        return 0.0, False, f"{name}={_num(p[name])} outside {span}: not positive definite on any sphere"
 
     return classify
 
@@ -345,7 +339,7 @@ def _classify_sine_power(p):
         return math.inf, True, "alpha in (0,2): strictly positive expansion coefficients"
     if a == 2:
         return math.inf, False, "alpha = 2 equals (1+cos theta)/2: positive definite, not strictly"
-    return 0.0, False, f"alpha={a:g} outside (0,2]: not positive definite on any sphere"
+    return 0.0, False, f"alpha={_num(a)} outside (0,2]: not positive definite on any sphere"
 
 
 def _classify_cosine(p):
@@ -493,14 +487,6 @@ def _family(family) -> tuple[str, _Family]:
     return name, _FAMILIES[name]
 
 
-def _profile_family(spec: KernelSpec) -> _Family:
-    """The record of a family with a Euclidean-argument profile; DomainError otherwise."""
-    fam = _FAMILIES[spec.family]
-    if fam.dphi is None and fam.dnphi is None:
-        raise DomainError(f"{spec.family} has no Euclidean-argument profile")
-    return fam
-
-
 def _lowered(items) -> dict:
     """(name, value) pairs as a dict keyed by the lower-cased name.
 
@@ -605,9 +591,9 @@ def evaluate_euclidean(spec: KernelSpec, t):
     Defined only for families that are restrictions of kernels on R^3
     (or on every Euclidean space); raises DomainError otherwise.
     """
-    fam = _profile_family(spec)
+    phi, _, _ = _as_profile(spec)
     arr = _check_distance(t)
-    out = fam.psi(spec.params, arr)
+    out = phi(arr)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -616,38 +602,62 @@ def euclid_derivative(spec: KernelSpec, t, order: int = 1):
 
     The first derivative is analytic for every Euclidean family; higher
     orders fall back to differences of the analytic first derivative
-    (step 1e-3 * max(1, t), forward near 0) unless the family supplies them;
-    for orders that do not exist classically everywhere on (0, inf) see
-    ``max_derivative_order``.  t = 0 is outside the domain for every
-    family, since rough profiles have no derivative there.
+    (step 1e-3 * max(1, t), forward at and below t = 1e-3) unless the family
+    supplies them; for orders that do not exist classically everywhere on
+    (0, inf) see ``max_derivative_order``.  t = 0 is outside the domain for
+    every family, since rough profiles have no derivative there.
     """
-    fam = _profile_family(spec)
+    _, derivative, _ = _as_profile(spec)
     order = _check_count("derivative order", order, 1)
     if order > 3:
         raise DomainError(f"derivative order must be 1, 2 or 3, got {order}")
     arr = _check_distance(t)
     if not np.all(arr > 0):
         raise DomainError("the profile derivative is taken at t > 0")
-    if fam.dnphi is not None:
-        out = fam.dnphi(spec.params, arr, order)
-    else:
-        out = _derivative_from_first(lambda x: fam.dphi(spec.params, x), arr, order)
+    out = derivative(arr, order)
     return float(out) if arr.ndim == 0 else out
+
+
+def _as_profile(kern, dphi=None):
+    """The one profile coercion: (phi, derivative, exact) of a KernelSpec, or of a
+    callable phi(t) with its first derivative ``dphi``.
+
+    ``derivative(t, order)`` is phi^(order)(t), order in {1, 2, 3}; ``exact`` marks
+    closed forms of orders 2 and 3 (a family's ``dnphi``), not differences of phi'.
+    A callable pair passes ``_elementwise``; anything else, or a spec without a
+    Euclidean profile, raises DomainError.
+    """
+    if isinstance(kern, KernelSpec):
+        fam, p = _FAMILIES[kern.family], kern.params
+        phi = lambda t: fam.psi(p, t)
+        if fam.dnphi is not None:
+            return phi, (lambda t, order: fam.dnphi(p, t, order)), True
+        if fam.dphi is None:
+            raise DomainError(f"{kern.family} has no Euclidean-argument profile")
+        d1 = lambda t: fam.dphi(p, t)
+    elif callable(kern) and callable(dphi):
+        phi, d1 = _elementwise(kern, "phi", "t"), _elementwise(dphi, "dphi", "t")
+    else:
+        raise DomainError(
+            "kernel must be a KernelSpec, or a callable profile phi(t) with its "
+            "first derivative passed as dphi="
+        )
+    return phi, (lambda t, order: _derivative_from_first(d1, t, order)), False
 
 
 def _derivative_from_first(d1: Callable[[np.ndarray], np.ndarray], t: np.ndarray, order: int):
     """phi^(order)(t) from the first derivative d1, order in {1, 2, 3}.
 
     Order 1 is d1 itself.  Higher orders are differences of d1 with step
-    h = 1e-3 * max(1, t): central where t >= h, one-sided forward below,
-    so that t - h never leaves the domain.
+    h = 1e-3 * max(1, t): central where t > h, one-sided forward at and below
+    t = 1e-3, so that t - h never reaches 0, the edge of the domain.
     """
     if order == 1:
         return d1(t)
     flat = np.atleast_1d(np.asarray(t, dtype=float))
     h = 1e-3 * np.maximum(1.0, flat)
     out = np.empty_like(flat)
-    ctr = flat >= h
+    ctr = flat > h
     fwd = ~ctr
     tc, hc = flat[ctr], h[ctr]
     tf, hf = flat[fwd], h[fwd]
@@ -677,11 +687,6 @@ def fractal_index_theoretical(spec: KernelSpec) -> float | None:
     if fam.fractal is None:
         return None
     return float(fam.fractal(spec.params))
-
-
-def has_analytic_derivatives(spec: KernelSpec) -> bool:
-    """True when the family supplies every derivative order analytically."""
-    return _FAMILIES[spec.family].dnphi is not None
 
 
 def max_derivative_order(spec: KernelSpec) -> float:

@@ -15,9 +15,11 @@ for positive definiteness on a finite grid:
 
 The profile checkers take a KernelSpec with a Euclidean profile, or a
 callable profile phi(t) together with its first derivative as ``dphi=``;
-a callable without a callable ``dphi`` is rejected.  Derivatives of order
-2 and 3 that have no closed form come from one finite-difference rule on phi'
-(``catalog.euclid_derivative``: step 1e-3 * max(1, t), forward near 0).
+a callable without a callable ``dphi`` is rejected.  Both are coerced to
+phi and its derivatives by the one profile coercion ``catalog._as_profile``,
+which ``catalog.euclid_derivative`` also uses.  Derivatives of order 2 and 3
+that have no closed form come from one finite-difference rule on phi'
+(step 1e-3 * max(1, t), forward at and below t = 1e-3).
 ``polya_circle`` integrates psi on the same graded theta rule as the
 Schoenberg coefficients.
 
@@ -65,8 +67,10 @@ def _convexity_flags(
     """Midpoint convexity on consecutive grid pairs: g(mid) <= avg within _TOL.
 
     Also checks every grid triple against its chord, which catches a downward
-    jump even when the extra midpoint lands past it.  A non-finite g is a
-    DomainError naming g as ``quantity`` and the grid variable as ``arg``.
+    jump even when the extra midpoint lands past it.  Returns the hard and
+    soft violations and g on the grid.  A non-finite g, on the grid before the
+    midpoints, is a DomainError naming g as ``quantity`` and the grid variable
+    as ``arg``.
     """
     gx = catalog._finite_psi(g, x, quantity, arg)
     mids = 0.5 * (x[:-1] + x[1:])
@@ -77,7 +81,7 @@ def _convexity_flags(
     floor = 64 * np.finfo(float).eps * scale  # roundoff floor
     hard = np.concatenate([mids[excess > _TOL * scale], x[1:-1][chord_excess > _TOL * scale]])
     soft = np.concatenate([mids[excess > floor], x[1:-1][chord_excess > floor]])
-    return np.sort(hard), np.sort(soft)
+    return np.sort(hard), np.sort(soft), gx
 
 
 def _verdict(hard: np.ndarray, soft: np.ndarray) -> str:
@@ -95,11 +99,10 @@ def polya_circle(kern, grid_size: int = 512) -> CriterionReport:
     if not abs(float(psi(np.array([0.0]))[0]) - 1.0) <= 1e-12:
         raise DomainError("candidate must satisfy psi(0) = 1 within 1e-12")
     x = np.linspace(0.0, math.pi, grid_size)
-    fx = psi(x)
+    hard_cvx, soft_cvx, fx = _convexity_flags(x, psi, "psi", "theta")
     scale = max(1.0, float(np.abs(fx).max()))
     increases = x[1:][np.diff(fx) > _TOL * scale]
     soft_increases = x[1:][np.diff(fx) > 64 * np.finfo(float).eps * scale]
-    hard_cvx, soft_cvx = _convexity_flags(x, psi, "psi", "theta")
     nodes, weights = schoenberg._theta_rule(breaks, 0)
     integral = float(weights @ psi(nodes))
     integral_bad = integral < -1e-10
@@ -134,39 +137,25 @@ def _profile_report(criterion, kern, dphi, order, squared, grid_size, horizon, d
     """Shared body of polya_s3 and polya_2n1: convexity of (-1)^order phi^(order),
     read at sqrt(t) on a grid spanning T^2 when ``squared`` (S^3), else at t up to T.
     """
-    if isinstance(kern, catalog.KernelSpec):
-        phi = lambda t: catalog.evaluate_euclidean(kern, t)
-        deriv = lambda t: catalog.euclid_derivative(kern, t, order)
-        scale = kern.params.get("c", 1.0)
-        fd_based = order > 1 and not catalog.has_analytic_derivatives(kern)
-    elif callable(kern) and callable(dphi):
-        phi = catalog._elementwise(kern, "phi", "t")
-        d1 = catalog._elementwise(dphi, "dphi", "t")
-        deriv = lambda t: catalog._derivative_from_first(d1, t, order)
-        scale = None
-        fd_based = order > 1
-    else:
-        raise DomainError(
-            "kernel must be a KernelSpec, or a callable profile phi(t) with its "
-            "first derivative passed as dphi="
-        )
+    phi, derivative, exact = catalog._as_profile(kern, dphi)
     phi_at = lambda t: float(catalog._finite_psi(phi, np.array([t]), "phi", "t")[0])
     if not abs(phi_at(0.0) - 1.0) <= 1e-12:
         raise DomainError("profile must satisfy phi(0) = 1 within 1e-12")
-    if horizon is not None and not 0 < horizon < math.inf:
-        raise DomainError(f"horizon must be finite and > 0, got {horizon}")
-    T = horizon if horizon is not None else 50.0 * (scale or 2.0)
+    scale = kern.params["c"] if isinstance(kern, catalog.KernelSpec) else 2.0
+    T = horizon if horizon is not None else 50.0 * scale  # 50 c overflows from c = 3.6e306
+    if not 0 < T < math.inf:
+        raise DomainError(f"horizon must be finite and > 0, got {T}")
     limit_val = phi_at(T)
     limit_ok = abs(limit_val) < 1e-6
 
     sign = (-1.0) ** order
     warp = np.sqrt if squared else (lambda t: t)
-    g = lambda t: sign * deriv(warp(t))
-    start = math.log10(_FD_GRID_START) if fd_based else -6.0
+    g = lambda t: sign * derivative(warp(t), order)
+    start = -6.0 if exact or order == 1 else math.log10(_FD_GRID_START)
     span = (2.0 if squared else 1.0) * math.log10(T)
-    t_grid = np.logspace(start, span, grid_size)
+    t_grid = catalog._check_distance(np.logspace(start, span, grid_size))  # T^2 may overflow
     quantity = ("-phi'", "phi''", "-phi'''")[order - 1] + ("(sqrt(t))" if squared else "(t)")
-    hard, soft = _convexity_flags(t_grid, g, quantity, "t")
+    hard, soft, _ = _convexity_flags(t_grid, g, quantity, "t")
     satisfied = _verdict(hard, soft)
     if satisfied == "YES" and not limit_ok:
         satisfied = "INCONCLUSIVE"

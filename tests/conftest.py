@@ -25,6 +25,15 @@ DEFAULT_SPECS = [kernel(name) for name in (
     "cosine",
 )]
 
+def spec_id(spec):
+    """A spec as a test id: its values to 6 significant digits, as ``spherekernels list``
+    prints them (any other parameter as ``str``)."""
+    if not isinstance(spec, catalog.KernelSpec):
+        return str(spec)
+    inner = ",".join(f"{k}={v:g}" for k, v in sorted(spec.params.items()))
+    return f"{spec.family}:{inner}" if inner else spec.family
+
+
 # Default members that are strictly positive definite (all but cosine).
 STRICT_DEFAULT_SPECS = [s for s in DEFAULT_SPECS if s.family != "cosine"]
 
@@ -217,3 +226,32 @@ def full_gram(kern, pts):
     """The reference Gram matrix: the psi of ``catalog.as_psi`` on every pair of points."""
     psi, _ = catalog.as_psi(kern)
     return psi(pairwise_angles(pts.points, pts.points))
+
+
+def gaspari_cohn_masked(t):
+    """Gaspari-Cohn profile on [0, 1] by boolean masks and a scatter, 0 past the support.
+
+    The masked form the clipped ``catalog._gc_profile`` replaced; an oracle
+    for it, bit for bit.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    lo, hi = t <= 0.5, (t > 0.5) & (t < 1.0)
+    tl, th = t[lo], t[hi]
+    out[lo] = 1.0 - (20.0 / 3.0) * tl**2 + 5.0 * tl**3 + 8.0 * tl**4 - 8.0 * tl**5
+    out[hi] = (8.0 * th**2 + 8.0 * th - 1.0) * (1.0 - th) ** 4 / (3.0 * th)
+    return out
+
+
+def gaspari_cohn_derivative_masked(t):
+    """The first derivative of ``gaspari_cohn_masked``, by the same masks."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    lo, hi = t <= 0.5, (t > 0.5) & (t < 1.0)
+    tl, th = t[lo], t[hi]
+    out[lo] = -(40.0 / 3.0) * tl + 15.0 * tl**2 + 32.0 * tl**3 - 40.0 * tl**4
+    out[hi] = (
+        (8.0 + th**-2) * (1.0 - th) ** 4
+        - 4.0 * (8.0 * th**2 + 8.0 * th - 1.0) * (1.0 - th) ** 3 / th
+    ) / 3.0
+    return out

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import STRICT_DEFAULT_SPECS, full_gram
+from conftest import STRICT_DEFAULT_SPECS, full_gram, spec_id
 
 from spherekernels import (
     apps,
@@ -35,7 +35,7 @@ def _height_data(pts):
 # interpolation
 
 
-@pytest.mark.parametrize("spec", STRICT_DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", STRICT_DEFAULT_SPECS, ids=spec_id)
 def test_node_exactness_at_zero_ridge(spec):
     nodes = sample_points(2, 80, "fibonacci_s2")
     data = np.sin(3 * nodes.points[:, 2]) + 0.5 * nodes.points[:, 0]
@@ -45,7 +45,7 @@ def test_node_exactness_at_zero_ridge(spec):
 
 
 @pytest.mark.parametrize("entries", [None, 250], ids=["default", "one-row-blocks"])
-@pytest.mark.parametrize("spec", STRICT_DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", STRICT_DEFAULT_SPECS, ids=spec_id)
 def test_eval_in_row_blocks_is_the_whole_matrix(monkeypatch, spec, entries):
     if entries is not None:
         monkeypatch.setattr(sphere, "_BLOCK_ENTRIES", entries)
@@ -318,7 +318,7 @@ def test_a_non_finite_psi_is_a_domain_error(monkeypatch, bad):
         (kernel("spherical", c=math.pi / 2), 1.0),
         (kernel("wendland_c2", c=math.pi, tau=4), 2.0),
     ],
-    ids=str,
+    ids=spec_id,
 )
 def test_fractal_index_recovery(spec, expected):
     assert abs(estimate_fractal_index(spec) - expected) < 0.05

@@ -10,7 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
+from conftest import (
+    DEFAULT_SPECS,
+    EUCLIDEAN_DEFAULT_SPECS,
+    IN_RANGE_POINTS,
+    gaspari_cohn_derivative_masked,
+    gaspari_cohn_masked,
+    spec_id,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -47,6 +54,8 @@ from spherekernels import (
 from spherekernels.catalog import (
     _MATERN_T_FLOOR,
     _check_theta,
+    _gc_profile,
+    _gc_profile_derivative,
     breakpoints,
     euclid_derivative,
 )
@@ -74,7 +83,7 @@ def _all_in_range_specs():
 # closed forms
 
 
-@pytest.mark.parametrize("spec", _all_in_range_specs(), ids=str)
+@pytest.mark.parametrize("spec", _all_in_range_specs(), ids=spec_id)
 def test_standardization_at_zero(spec):
     assert abs(evaluate(spec, 0.0) - 1.0) < 1e-14
 
@@ -158,6 +167,43 @@ def test_gaspari_cohn_branches_agree_at_half():
         assert evaluate(spec, t) == pytest.approx(5.0 / 24.0, abs=1e-14)
 
 
+_GC_EDGES = [0.0, 0.5, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0), 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "clipped, masked",
+    [(_gc_profile, gaspari_cohn_masked), (_gc_profile_derivative, gaspari_cohn_derivative_masked)],
+    ids=["profile", "derivative"],
+)
+def test_gaspari_cohn_clipped_forms_match_the_masked_ones_bit_for_bit(clipped, masked):
+    for t in (np.array(_GC_EDGES), np.linspace(0.0, 1.5, 30001), np.geomspace(1e-300, 1e3, 2001)):
+        assert clipped(t).tobytes() == masked(t).tobytes()
+    for t in _GC_EDGES:
+        assert np.asarray(clipped(t)).tobytes() == masked(t).tobytes()
+
+
+@pytest.mark.parametrize("name, tau", [("wendland_c2", 4.0), ("wendland_c2", 4.5),
+                                       ("wendland_c4", 6.0), ("wendland_c4", 7.3)])
+def test_wendland_derivatives_are_zero_past_the_support(name, tau):
+    spec = kernel(name, c=0.7, tau=tau)
+    past = 0.7 * np.array([1.0, np.nextafter(1.0, 2.0), 1.01, 1.5, 10.0, 1e6])
+    assert np.all(euclid_derivative(spec, past, 1) == 0.0)
+    for order in (2, 3):  # differences of phi' that lie wholly past the edge
+        assert np.all(euclid_derivative(spec, past[2:], order) == 0.0)
+    assert euclid_derivative(spec, 0.7 * np.nextafter(1.0, 0.0), 1) <= 0.0
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_askey_derivative_at_or_above_tau_is_zero_past_the_support(order):
+    # at order >= tau, (1 - u)^(tau - order) clipped at u = 1 would read 0^0 = 1 or
+    # 0 to a negative power past the edge; the classical derivative is 0 there
+    spec = kernel("askey", c=0.8, tau=2.0)
+    past = 0.8 * np.array([1.0, np.nextafter(1.0, 2.0), 1.5, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(euclid_derivative(spec, past, order) == 0.0)
+
+
 @pytest.mark.parametrize("name", COMPACT)
 def test_support_edge_continuity(name):
     spec = kernel(name, c=2.0)
@@ -166,7 +212,7 @@ def test_support_edge_continuity(name):
     assert np.all(np.abs(np.diff(np.abs(vals[::-1]))) >= 0)  # decaying toward the edge
 
 
-@pytest.mark.parametrize("spec", _all_in_range_specs(), ids=str)
+@pytest.mark.parametrize("spec", _all_in_range_specs(), ids=spec_id)
 def test_monotone_nonincreasing_for_valid_params(spec):
     if spec.family == "cosine":
         theta = np.linspace(0.0, math.pi, 1000)
@@ -215,11 +261,31 @@ def test_parameter_given_twice_is_rejected(call):
         call()
 
 
-def test_parse_kernel_roundtrip():
+# one draw per parameter domain of catalog._DOMAINS: c, alpha and tau share the positive one
+_DOMAIN_DRAWS = {
+    "nu": st.floats(np.finfo(float).tiny, 20.0),
+    "delta": st.floats(0.0, 1.0, exclude_max=True),
+}
+_POSITIVE_DRAW = st.floats(np.finfo(float).tiny, np.finfo(float).max)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(FAMILY_NAMES), st.data())
+def test_parse_kernel_roundtrip(name, data):
+    # every value prints so that it parses back to the same float, defaults (pi/2) too
+    params = {
+        k: data.draw(st.just(v) | _DOMAIN_DRAWS.get(k, _POSITIVE_DRAW), label=k)
+        for k, v in kernel(name).params.items()
+    }
+    spec = kernel(name, **params)
+    assert parse_kernel(str(spec)) == spec
+
+
+def test_parse_kernel_reads_any_case_and_fills_defaults():
     spec = parse_kernel("Matern:C=0.3,NU=0.5")
     assert spec.family == "matern"
     assert spec.params == {"c": 0.3, "nu": 0.5}
-    assert parse_kernel(str(spec)) == spec
+    assert str(spec) == "matern:c=0.3,nu=0.5"
     assert parse_kernel("cosine").family == "cosine"
     # missing parameters come from family defaults
     assert parse_kernel("askey:c=1").params["tau"] == 2.0
@@ -429,6 +495,18 @@ def test_only_the_proved_invalid_branches_say_not_positive_definite_on_any_spher
         assert verdict.valid or _ANY_SPHERE not in verdict.reason
         if d > 3 and not verdict.valid:  # the support condition holds, but only up to S^3
             assert verdict.reason == f"guaranteed only for d <= 3, requested d={d}"
+
+
+@pytest.mark.parametrize(
+    "name, bound, printed",
+    [("powered_exponential", 1.0, "alpha=1.0000000000000002 outside (0,1]"),
+     ("sine_power", 2.0, "alpha=2.0000000000000004 outside (0,2]")],
+)
+def test_a_value_just_past_the_bound_is_printed_in_full(name, bound, printed):
+    # :g alone would print the bound itself, as if it were inside the range
+    spec = kernel(name, alpha=np.nextafter(bound, 3.0))
+    assert validate_params(spec, 2).reason == f"{printed}: {_ANY_SPHERE}"
+    assert printed.split()[0] in str(spec)
 
 
 def test_the_support_condition_checks_c_before_tau():
@@ -717,7 +795,7 @@ def test_integral_count_of_any_type_is_the_integer(name, kind):
         kernel("generalized_cauchy", c=1.0, alpha=0.5, tau=1.0),
         kernel("matern", c=1.0, nu=0.3),
     ],
-    ids=str,
+    ids=spec_id,
 )
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_derivative_at_zero_is_a_domain_error(spec, order):
@@ -726,6 +804,24 @@ def test_derivative_at_zero_is_a_domain_error(spec, order):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             euclid_derivative(spec, 0.0, order)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        kernel("dagum"),
+        kernel("powered_exponential", c=1.0, alpha=0.5),
+        kernel("generalized_cauchy", c=1.0, alpha=0.5, tau=1.0),
+        kernel("matern", c=1.0, nu=0.3),
+    ],
+    ids=spec_id,
+)
+@pytest.mark.parametrize("order", [2, 3])
+def test_difference_derivative_at_its_step_never_reads_phi_prime_at_zero(spec, order):
+    # the step is h = 1e-3 below t = 1, so a central difference at t = 1e-3 would
+    # read phi' at t - h = 0; the forward one there agrees with its neighbour below
+    at, below = euclid_derivative(spec, np.array([1e-3, 0.999e-3]), order)
+    assert math.isfinite(at) and at == pytest.approx(below, rel=1e-2)
 
 
 def test_angle_gate_allows_the_same_slack_everywhere():
@@ -738,7 +834,7 @@ def test_angle_gate_allows_the_same_slack_everywhere():
 _GATE_GRID = np.linspace(0.0, math.pi, 257)
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_evaluate_never_writes_its_argument(spec):
     theta = _GATE_GRID.copy()
     want = evaluate(spec, theta)
@@ -748,7 +844,7 @@ def test_evaluate_never_writes_its_argument(spec):
     assert np.array_equal(theta, _GATE_GRID)
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_angle_gate_clips_the_slack_to_the_end_points(spec):
     slack = np.array([-1e-12, -1e-13, 1.0, math.pi + 1e-13, math.pi + 1e-12])
     ends = np.array([0.0, 0.0, 1.0, math.pi, math.pi])
@@ -757,7 +853,7 @@ def test_angle_gate_clips_the_slack_to_the_end_points(spec):
     assert evaluate(spec, math.pi + 1e-12) == evaluate(spec, math.pi)
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 @pytest.mark.parametrize("bad", [math.nan, -2e-12, math.pi + 2e-12, math.inf, -math.inf])
 def test_angle_gate_rejects_nan_and_angles_beyond_the_slack(spec, bad):
     with pytest.raises(DomainError):
@@ -766,7 +862,7 @@ def test_angle_gate_rejects_nan_and_angles_beyond_the_slack(spec, bad):
         evaluate(spec, np.array([[0.5, 1.0], [bad, 2.0]]))
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_angle_gate_keeps_empty_and_scalar_results(spec):
     for empty in ([], np.empty((0, 3))):
         out = evaluate(spec, empty)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS
+from conftest import DEFAULT_SPECS, EUCLIDEAN_DEFAULT_SPECS, IN_RANGE_POINTS, spec_id
 from scipy.integrate import IntegrationWarning, quad
 
 from spherekernels import (
@@ -36,6 +36,18 @@ def test_circle_exponential_yes_and_strict():
     assert report.details["strict_note"] == "not piecewise linear"
 
 
+def test_circle_reads_psi_once_on_its_grid():
+    sizes = []
+
+    def psi(th):
+        sizes.append(np.size(th))
+        return np.exp(-th)
+
+    polya_circle(psi, grid_size=512)
+    assert sizes[:3] == [1, 512, 511]  # psi(0), the grid, its midpoints; then the theta rule
+    assert sizes.count(512) == 1
+
+
 def test_circle_integral_on_the_theta_rule():
     # (1 - theta/c)_+^tau integrates to c/(tau+1); the rule splits at the support edge
     report = polya_circle(kernel("askey", c=0.5, tau=2.0))
@@ -49,7 +61,7 @@ _POLYA_SPECS = (
 )
 
 
-@pytest.mark.parametrize("spec", _POLYA_SPECS, ids=str)
+@pytest.mark.parametrize("spec", _POLYA_SPECS, ids=spec_id)
 def test_circle_integral_matches_adaptive_quadrature(spec):
     # reference: scipy's adaptive quad on each piece between the breakpoints
     psi, breaks = catalog.as_psi(spec)
@@ -115,7 +127,7 @@ def test_s3_squared_exponential_no():
 @pytest.mark.parametrize(
     "spec",
     [kernel("generalized_cauchy"), kernel("dagum"), kernel("powered_exponential", alpha=0.5)],
-    ids=str,
+    ids=spec_id,
 )
 def test_decay_shortfall_alone_is_inconclusive(spec):
     for report in (polya_s3(spec), polya_2n1(spec, 1), polya_2n1(spec, 2)):
@@ -123,7 +135,7 @@ def test_decay_shortfall_alone_is_inconclusive(spec):
         assert not report.violations and not report.details["limit_ok"]
 
 
-@pytest.mark.parametrize("spec", EUCLIDEAN_DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", EUCLIDEAN_DEFAULT_SPECS, ids=spec_id)
 def test_profile_checkers_answer_no_only_with_a_violation(spec):
     for report in [polya_s3(spec)] + [polya_2n1(spec, n) for n in (1, 2, 3)]:
         if report.satisfied == "NO":
@@ -237,7 +249,7 @@ def _criterion_reports(spec):
     return reports
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_yes_never_contradicts_membership(spec):
     for report in _criterion_reports(spec):
         if report.satisfied != "YES":
@@ -247,7 +259,7 @@ def test_yes_never_contradicts_membership(spec):
         assert verdict.verdict != "FAIL", (spec, report.criterion, d)
 
 
-@pytest.mark.parametrize("spec", EUCLIDEAN_DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", EUCLIDEAN_DEFAULT_SPECS, ids=spec_id)
 def test_grid_refinement_never_flips_yes_to_no(spec):
     for fine_factor in (2,):
         coarse = polya_s3(spec, grid_size=128)
@@ -258,3 +270,11 @@ def test_grid_refinement_never_flips_yes_to_no(spec):
         fine = polya_circle(spec, grid_size=512)
         if coarse.satisfied == "YES":
             assert fine.satisfied != "NO", spec
+
+
+def test_a_grid_past_the_largest_double_is_a_domain_error():
+    # the default horizon 50 c, and t = T^2 on polya_s3's grid, can leave the doubles
+    with pytest.raises(DomainError, match="horizon must be finite and > 0, got inf"):
+        polya_s3(kernel("matern", c=1e307))
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="Euclidean distance"):
+        polya_s3(lambda t: np.exp(-t), dphi=lambda t: -np.exp(-t), horizon=1e160)

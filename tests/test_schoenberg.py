@@ -15,6 +15,7 @@ from conftest import (
     cosine_coeffs,
     legendre_from_fourier,
     multiquadric_coeffs,
+    spec_id,
     sphere_sine_power_coeffs,
 )
 from hypothesis import given, settings
@@ -127,7 +128,7 @@ _CIRCLE_ORACLES = (
 
 
 @pytest.mark.parametrize("spec,exact,param", _CIRCLE_ORACLES,
-                         ids=[str(spec) for spec, _, _ in _CIRCLE_ORACLES])
+                         ids=[spec_id(spec) for spec, _, _ in _CIRCLE_ORACLES])
 def test_fourier_matches_the_circle_closed_forms(spec, exact, param):
     # measured 4.3e-14 to 5.6e-14 at n_max = 2000; the tail agrees to 1.4e-11
     b = exact(param, 2000)
@@ -135,7 +136,7 @@ def test_fourier_matches_the_circle_closed_forms(spec, exact, param):
     assert abs(membership(spec, 1, n_max=2000).tail_mass - (1.0 - b.sum())) < 1e-10
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_fourier_matches_cosine_projection_on_the_same_rule(spec):
     # reference: the explicit cos(n theta) basis on the library's own nodes
     n_max = 2000
@@ -213,7 +214,7 @@ def test_full_support_recurrence_runs_on_the_nodes_below_half_pi(monkeypatch):
     assert sizes == [("moments", 2088)] * 5 + [("blocks", 2088)]
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_walks_from_the_circle_match_direct_quadrature_at_full_size(spec):
     # the S^3 and S^5 projections walk the circle's sums up to n_max + 2 and n_max + 4 on
     # the n_max rule; here the circle sequences come from their own rules, which at
@@ -291,7 +292,7 @@ _WALKED_ORACLES = (
 
 
 @pytest.mark.parametrize("spec,exact,param,tol3,tol5", _WALKED_ORACLES,
-                         ids=[str(o[0]) for o in _WALKED_ORACLES])
+                         ids=[spec_id(o[0]) for o in _WALKED_ORACLES])
 def test_gegenbauer_matches_the_walked_circle_closed_forms(spec, exact, param, tol3, tol5):
     n_max = 2000
     s3 = walk_d_to_d2(SchoenbergSequence(1, exact(param, n_max + 4), 0, "exact"))
@@ -537,7 +538,7 @@ def test_walk_d_to_d2_exact_sequences():
     assert np.allclose(walk_d_to_d2(const).coeffs, [1.0], atol=0)
 
 
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_walk_1_to_3_matches_direct_quadrature(spec):
     d1 = fourier_coeffs(spec, 52)
     walked = walk_1_to_3(d1)
@@ -758,7 +759,7 @@ def _cosine_monotonicity(kern, n_max):
 
 
 @pytest.mark.parametrize("n_max", [60, 200])
-@pytest.mark.parametrize("spec", [*DEFAULT_SPECS, kernel("askey", c=1.0, tau=1.5)], ids=str)
+@pytest.mark.parametrize("spec", [*DEFAULT_SPECS, kernel("askey", c=1.0, tau=1.5)], ids=spec_id)
 def test_membership_monotonicity_matches_cosine_sequence(spec, n_max):
     assert _s3_monotonicity(spec, n_max) == _cosine_monotonicity(spec, n_max)
 

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import DEFAULT_SPECS, STRICT_DEFAULT_SPECS, full_gram
+from conftest import DEFAULT_SPECS, STRICT_DEFAULT_SPECS, full_gram, spec_id
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg.lapack import dtrttf
@@ -146,7 +146,7 @@ def test_gram_cosine_equator_non_strict_witness():
     assert report.psd
 
 
-@pytest.mark.parametrize("spec", STRICT_DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", STRICT_DEFAULT_SPECS, ids=spec_id)
 def test_gram_psd_for_valid_kernels(spec):
     pts = sample_points(2, 120, seed=42)
     report = gram_report(spec, pts)
@@ -169,7 +169,7 @@ _BLOCKINGS = [(40, None), (300, None), (50, 49)]
 
 @pytest.mark.parametrize("n, entries", _BLOCKINGS)
 @pytest.mark.parametrize("d", [1, 2, 4])
-@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=str)
+@pytest.mark.parametrize("spec", DEFAULT_SPECS, ids=spec_id)
 def test_gram_in_row_blocks_is_the_whole_matrix(monkeypatch, spec, d, n, entries):
     if entries is not None:
         monkeypatch.setattr(sphere, "_BLOCK_ENTRIES", entries)
@@ -288,7 +288,7 @@ def test_gram_detects_indefinite_kernel():
 @pytest.mark.parametrize(
     "spec",
     [kernel("powered_exponential", c=1, alpha=2), kernel("matern", c=2, nu=1.5)],
-    ids=str,
+    ids=spec_id,
 )
 def test_membership_fail_has_empirical_witness(spec):
     # a FAIL verdict must be realizable as an indefinite Gram matrix on
